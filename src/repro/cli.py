@@ -11,9 +11,9 @@ Commands
 ``train-fno`` train (and cache) the neural guidance model
 ``lint``      run the repo-specific static analysis rules (repro.analysis)
               over source paths; exit 0 clean / 1 violations / 2 usage
-``bench``     benchmark the hot placement operators (workspace arena vs
-              allocating fallback) and write BENCH_operator.json; with
-              ``--compare`` gate against a saved report
+``bench``     benchmark the hot placement operators and write
+              BENCH_operator.json; with ``--compare`` gate against a
+              saved report
 ``serve``     run the placement daemon (HTTP job API, warm workers)
 ``chaos``     seeded service-chaos soak: boot a real daemon against a
               deterministic service fault plan (hung workers, slow I/O,
@@ -303,20 +303,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         iters=args.iters,
         warmup=args.warmup,
         seed=args.seed,
-        trajectory_iters=args.trajectory_iters,
     )
     print(format_report(report))
     path = write_report(report, args.out)
     print(f"wrote {path}")
-    if not report["gradients_identical"]:
-        print("error: workspace and fallback gradients differ",
-              file=sys.stderr)
-        return 1
-    traj = report.get("trajectory")
-    if traj and not (traj["hpwl_identical"] and traj["positions_identical"]):
-        print("error: workspace run diverged from fallback trajectory",
-              file=sys.stderr)
-        return 1
     if args.compare:
         try:
             previous = load_report(args.compare)
@@ -569,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.set_defaults(handler=_cmd_lint)
 
     bench = sub.add_parser(
-        "bench", help="benchmark the hot operators (workspace vs fallback)"
+        "bench", help="benchmark the hot placement operators"
     )
     bench.add_argument("--size", default="tiny",
                        choices=["tiny", "small", "medium"],
@@ -579,11 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--warmup", type=int, default=3,
                        help="unmeasured warm-up steps (default 3)")
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--trajectory-iters", type=int, default=0,
-                       metavar="N",
-                       help="also replay N real GP iterations in both "
-                            "modes and require bit-identical HPWL "
-                            "trajectories (0 = skip)")
     bench.add_argument("--out", default="BENCH_operator.json",
                        help="report path (default BENCH_operator.json)")
     bench.add_argument("--compare", default=None, metavar="JSON",

@@ -23,7 +23,7 @@ from repro.density import DensitySystem
 from repro.netlist import Netlist
 from repro.ops import DensitySkipController, profiled
 from repro.optim import Preconditioner
-from repro.perf.workspace import Workspace, maybe_workspace
+from repro.perf.workspace import Workspace
 from repro.wirelength import WirelengthOp
 
 # predictor(total_density_map) -> (field_x_map, field_y_map)
@@ -76,10 +76,13 @@ class GradientEngine:
         self.density = density
         self.params = params
         self.field_predictor = field_predictor
+        # The one buffer arena (repro.perf) the engine's operators share.
+        self.workspace = Workspace()
         if params.operator_reduction:
             self.wirelength = WirelengthOp(
                 netlist, combined=params.combined_wirelength
             )
+            self.wirelength.attach_workspace(self.workspace)
         else:
             # OR off: spell the objective as autograd ops and invoke the
             # tape every iteration (the configuration Table 3 starts from).
@@ -92,21 +95,13 @@ class GradientEngine:
             period=params.skip_period,
             enabled=params.operator_skipping,
         )
+        density.attach_workspace(self.workspace)
         self.preconditioner = Preconditioner(netlist, density.fillers)
+        self.preconditioner.attach_workspace(self.workspace)
         self._mov_idx = netlist.movable_index
         self._num_movable = len(self._mov_idx)
         self._num_fillers = density.fillers.count
         self._cache: Optional[GradientResult] = None
-        # The buffer arena the hot operators share (repro.perf).  The
-        # engine owns it; operators receive it via attach_workspace so
-        # ablation configs without the hook (e.g. the autograd op, the
-        # duck-typed multi-electrostatics system) simply stay allocating.
-        self.workspace: Optional[Workspace] = maybe_workspace(params.workspace)
-        if self.workspace is not None:
-            for op in (self.wirelength, density):
-                attach = getattr(op, "attach_workspace", None)
-                if attach is not None:
-                    attach(self.workspace)
         self._init_x, self._init_y = netlist.initial_positions()
 
     # ------------------------------------------------------------------
@@ -123,18 +118,15 @@ class GradientEngine:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """All-cell position arrays from the optimizer layout.
 
-        With a workspace the template copy lands in reused ``eng.*``
-        buffers (safe: consumers read them within the iteration and the
-        density system re-gathers what it keeps).
+        The template copy lands in reused ``eng.*`` buffers (safe:
+        consumers read them within the iteration and the density system
+        re-gathers what it keeps).
         """
         ws = self.workspace
-        if ws is not None:
-            x = ws.get("eng.full_x", self._init_x.shape)
-            y = ws.get("eng.full_y", self._init_y.shape)
-            np.copyto(x, self._init_x)
-            np.copyto(y, self._init_y)
-        else:
-            x, y = self.netlist.initial_positions()
+        x = ws.get("eng.full_x", self._init_x.shape)
+        y = ws.get("eng.full_y", self._init_y.shape)
+        np.copyto(x, self._init_x)
+        np.copyto(y, self._init_y)
         x[self._mov_idx] = pos_x[: self._num_movable]
         y[self._mov_idx] = pos_y[: self._num_movable]
         return x, y
@@ -160,51 +152,31 @@ class GradientEngine:
         nm, nv = self._num_movable, self.num_variables
 
         wl = self.wirelength(x, y, gamma)
-        if ws is not None:
-            # Same [movable; fillers] layout as the concatenations below,
-            # assembled into reused eng.* buffers.  Safe to recycle: the
-            # cached GradientResult's wirelength half is never read on
-            # the skip path, and checkpoints copy what they keep.
-            wl_grad_x = ws.get("eng.wl_gx", nv)
-            wl_grad_y = ws.get("eng.wl_gy", nv)
-            np.take(wl.grad_x, self._mov_idx, out=wl_grad_x[:nm])
-            np.take(wl.grad_y, self._mov_idx, out=wl_grad_y[:nm])
-            wl_grad_x[nm:] = 0.0
-            wl_grad_y[nm:] = 0.0
-            norm_cat = ws.get("eng.norm_cat", 2 * nv)
-            norm_cat[:nv] = wl_grad_x
-            norm_cat[nv:] = wl_grad_y
-            wl_norm = float(np.linalg.norm(norm_cat))
-        else:
-            wl_grad_x = np.concatenate(
-                [wl.grad_x[self._mov_idx], np.zeros(self._num_fillers)]
-            )
-            wl_grad_y = np.concatenate(
-                [wl.grad_y[self._mov_idx], np.zeros(self._num_fillers)]
-            )
-            wl_norm = float(
-                np.linalg.norm(np.concatenate([wl_grad_x, wl_grad_y]))
-            )
+        # [movable; fillers] layout in reused eng.* buffers.  Safe to
+        # recycle: the cached GradientResult's wirelength half is never
+        # read on the skip path, and checkpoints copy what they keep.
+        wl_grad_x = ws.get("eng.wl_gx", nv)
+        wl_grad_y = ws.get("eng.wl_gy", nv)
+        np.take(wl.grad_x, self._mov_idx, out=wl_grad_x[:nm])
+        np.take(wl.grad_y, self._mov_idx, out=wl_grad_y[:nm])
+        wl_grad_x[nm:] = 0.0
+        wl_grad_y[nm:] = 0.0
+        norm_cat = ws.get("eng.norm_cat", 2 * nv)
+        norm_cat[:nv] = wl_grad_x
+        norm_cat[nv:] = wl_grad_y
+        wl_norm = float(np.linalg.norm(norm_cat))
 
         if self.skip.should_compute(iteration) or self._cache is None:
             dres = self.density.evaluate(x, y, filler_x, filler_y)
-            if ws is not None:
-                # These buffers ARE the skip cache between density
-                # recomputes — nothing else writes eng.d_g* until the
-                # next computed iteration replaces their contents.
-                density_grad_x = ws.get("eng.d_gx", nv)
-                density_grad_y = ws.get("eng.d_gy", nv)
-                np.take(dres.grad_x, self._mov_idx, out=density_grad_x[:nm])
-                np.take(dres.grad_y, self._mov_idx, out=density_grad_y[:nm])
-                density_grad_x[nm:] = dres.filler_grad_x
-                density_grad_y[nm:] = dres.filler_grad_y
-            else:
-                density_grad_x = np.concatenate(
-                    [dres.grad_x[self._mov_idx], dres.filler_grad_x]
-                )
-                density_grad_y = np.concatenate(
-                    [dres.grad_y[self._mov_idx], dres.filler_grad_y]
-                )
+            # These buffers ARE the skip cache between density
+            # recomputes — nothing else writes eng.d_g* until the next
+            # computed iteration replaces their contents.
+            density_grad_x = ws.get("eng.d_gx", nv)
+            density_grad_y = ws.get("eng.d_gy", nv)
+            np.take(dres.grad_x, self._mov_idx, out=density_grad_x[:nm])
+            np.take(dres.grad_y, self._mov_idx, out=density_grad_y[:nm])
+            density_grad_x[nm:] = dres.filler_grad_x
+            density_grad_y[nm:] = dres.filler_grad_y
             overflow = dres.overflow
             energy = dres.energy
             density_map = dres.total_map
@@ -220,15 +192,10 @@ class GradientEngine:
             density_map = cached.density_map
             density_computed = False
 
-        if ws is not None:
-            norm_cat = ws.get("eng.norm_cat", 2 * nv)
-            norm_cat[:nv] = density_grad_x
-            norm_cat[nv:] = density_grad_y
-            density_norm = float(np.linalg.norm(norm_cat))
-        else:
-            density_norm = float(
-                np.linalg.norm(np.concatenate([density_grad_x, density_grad_y]))
-            )
+        norm_cat = ws.get("eng.norm_cat", 2 * nv)
+        norm_cat[:nv] = density_grad_x
+        norm_cat[nv:] = density_grad_y
+        density_norm = float(np.linalg.norm(norm_cat))
         result = GradientResult(
             wl_grad_x=wl_grad_x,
             wl_grad_y=wl_grad_y,
@@ -354,17 +321,13 @@ class GradientEngine:
             dgx = (1.0 - sigma) * dgx + sigma * nn_gx
             dgy = (1.0 - sigma) * dgy + sigma * nn_gy
         ws = self.workspace
-        if ws is not None:
-            grad_x = ws.get("eng.asm_x", result.wl_grad_x.shape)
-            grad_y = ws.get("eng.asm_y", result.wl_grad_y.shape)
-            np.multiply(dgx, lam, out=grad_x)
-            np.add(grad_x, result.wl_grad_x, out=grad_x)
-            np.multiply(dgy, lam, out=grad_y)
-            np.add(grad_y, result.wl_grad_y, out=grad_y)
-        else:
-            grad_x = result.wl_grad_x + lam * dgx
-            grad_y = result.wl_grad_y + lam * dgy
-        return self.preconditioner.apply(grad_x, grad_y, lam, workspace=ws)
+        grad_x = ws.get("eng.asm_x", result.wl_grad_x.shape)
+        grad_y = ws.get("eng.asm_y", result.wl_grad_y.shape)
+        np.multiply(dgx, lam, out=grad_x)
+        np.add(grad_x, result.wl_grad_x, out=grad_x)
+        np.multiply(dgy, lam, out=grad_y)
+        np.add(grad_y, result.wl_grad_y, out=grad_y)
+        return self.preconditioner.apply(grad_x, grad_y, lam)
 
     def _neural_density_grad(
         self, density_map: np.ndarray, pos_x: np.ndarray, pos_y: np.ndarray

@@ -50,10 +50,6 @@ class PlacementParams:
     combined_wirelength: bool = True   # OC
     density_extraction: bool = True    # OE
     operator_skipping: bool = True     # OS
-    # Workspace buffer arena (repro.perf): thread preallocated scratch
-    # through the hot operators.  Results are bit-identical either way;
-    # False restores the plain allocating kernels.
-    workspace: bool = True
     skip_ratio_threshold: float = 0.01
     skip_max_iteration: int = 100
     skip_period: int = 20

@@ -16,7 +16,6 @@ spectral sum in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 import numpy as np
 from scipy import fft as sfft
@@ -27,53 +26,40 @@ from repro.ops import profiled, timed
 from repro.perf.workspace import Workspace
 
 
-def _eval_cos(coef: np.ndarray, axis: int, inplace: bool = False) -> np.ndarray:
+def _eval_cos(coef: np.ndarray, axis: int) -> np.ndarray:
     """Evaluate f_i = Σ_u coef_u cos(πu(2i+1)/2M) along ``axis``.
 
     scipy's DCT-III gives y_k = x_0 + 2 Σ_{n≥1} x_n cos(πn(2k+1)/2N), so
-    the plain cosine series is (y + x_0) / 2.  ``inplace`` finalises on
-    the (always freshly allocated) transform output instead of building
-    two more temporaries — same additions, same products, bit-identical.
+    the plain cosine series is (y + x_0) / 2, finalised in place on the
+    freshly allocated transform output.
     """
     y = sfft.dct(coef, type=3, axis=axis, norm=None)
     lead = np.take(coef, [0], axis=axis)
-    if inplace:
-        np.add(y, lead, out=y)
-        np.multiply(y, 0.5, out=y)
-        return y
-    return 0.5 * (y + lead)
+    np.add(y, lead, out=y)
+    np.multiply(y, 0.5, out=y)
+    return y
 
 
-def _eval_sin(
-    coef: np.ndarray,
-    axis: int,
-    scratch: Optional[np.ndarray] = None,
-    inplace: bool = False,
-) -> np.ndarray:
+def _eval_sin(coef: np.ndarray, axis: int, scratch: np.ndarray) -> np.ndarray:
     """Evaluate f_i = Σ_u coef_u sin(πu(2i+1)/2M) along ``axis``.
 
     The u=0 term vanishes; shifting coefficients down by one aligns the
     rest with scipy's DST-III: y_k = (-1)^k x_{N-1} + 2 Σ_{n<N-1} x_n
     sin(π(n+1)(2k+1)/2N).  With x_{N-1} = 0 the series is y / 2.
 
-    ``scratch`` supplies a reusable buffer for the shifted coefficients
-    (zero-filled here, so contents match ``np.zeros_like`` exactly).
+    ``scratch`` is a buffer shaped like ``coef`` that receives the
+    shifted coefficients (zero-filled here first).
     """
-    if scratch is None:
-        shifted = np.zeros_like(coef)
-    else:
-        shifted = scratch
-        shifted.fill(0.0)
+    shifted = scratch
+    shifted.fill(0.0)
     src = [slice(None)] * coef.ndim
     dst = [slice(None)] * coef.ndim
     src[axis] = slice(1, None)
     dst[axis] = slice(0, coef.shape[axis] - 1)
     shifted[tuple(dst)] = coef[tuple(src)]
     y = sfft.dst(shifted, type=3, axis=axis, norm=None)
-    if inplace:
-        np.multiply(y, 0.5, out=y)
-        return y
-    return 0.5 * y
+    np.multiply(y, 0.5, out=y)
+    return y
 
 
 @dataclass
@@ -89,19 +75,16 @@ class FieldSolution:
 class ElectrostaticSolver:
     """DCT-based solver mapping a density map to potential and field.
 
-    The scipy transforms always allocate their outputs (so the returned
-    potential/field maps are safe to retain), but the spectral
+    The scipy transforms always allocate their outputs, so the returned
+    potential/field maps are safe to retain.  The spectral
     intermediates — shifted ρ, scaled coefficient maps, the DST shift
-    scratch — are grid-sized temporaries rebuilt every solve.  With an
-    attached workspace they live in reused ``es.*`` buffers instead,
-    bit-identically.
+    scratch — live in reused ``es.*`` buffers of the solver's arena
+    (private unless :meth:`attach_workspace` shares another one).
     """
 
-    def __init__(
-        self, grid: BinGrid, workspace: Optional[Workspace] = None
-    ) -> None:
+    def __init__(self, grid: BinGrid) -> None:
         self.grid = grid
-        self.workspace = workspace
+        self.workspace = Workspace()
         m = grid.m
         # Angular frequencies in physical units: w_u = π u / extent.
         self._wu = np.pi * np.arange(m, dtype=FLOAT) / grid.region.width
@@ -116,8 +99,8 @@ class ElectrostaticSolver:
         beta[0] = np.sqrt(1.0 / m)
         self._beta2d = beta[:, None] * beta[None, :]
 
-    def attach_workspace(self, workspace: Optional[Workspace]) -> None:
-        """Switch the solver onto (or off) an arena after construction."""
+    def attach_workspace(self, workspace: Workspace) -> None:
+        """Run the solver on ``workspace`` from now on."""
         self.workspace = workspace
 
     # ------------------------------------------------------------------
@@ -131,66 +114,38 @@ class ElectrostaticSolver:
         if density.shape != grid.shape:
             raise ValueError(f"density shape {density.shape} != grid {grid.shape}")
         with timed("field_solve"):
-            if self.workspace is not None:
-                return self._solve_ws(density)
-            return self._solve_alloc(density)
+            ws = self.workspace
+            shape = grid.shape
+            profiled("dct_forward")
+            rho = ws.get("es.rho", shape)
+            np.subtract(density, density.mean(), out=rho)
+            coef = sfft.dctn(rho, type=2, norm="ortho")
+            phi = ws.get("es.phi", shape)
+            np.multiply(coef, self._inv_denom, out=phi)
+            phi[0, 0] = 0.0
 
-    def _solve_alloc(self, density: np.ndarray) -> FieldSolution:
-        grid = self.grid
-        profiled("dct_forward")
-        rho = density - density.mean()
-        coef = sfft.dctn(rho, type=2, norm="ortho")
-        phi = coef * self._inv_denom
-        phi[0, 0] = 0.0
+            profiled("idct_potential")
+            potential = sfft.idctn(phi, type=2, norm="ortho")
 
-        profiled("idct_potential")
-        potential = sfft.idctn(phi, type=2, norm="ortho")
+            # Field: E = -∇ψ;  ψ = Σ φ_uv β_u β_v cos(w_u x) cos(w_v y)
+            #   E_x = Σ φ_uv β_u β_v w_u sin(w_u x) cos(w_v y)   (IDSCT)
+            #   E_y = Σ φ_uv β_u β_v w_v cos(w_u x) sin(w_v y)   (IDCST)
+            profiled("idsct_field", 2)
+            c = ws.get("es.c", shape)
+            np.multiply(phi, self._beta2d, out=c)
+            cw = ws.get("es.cw", shape)
+            shift = ws.get("es.shift", shape)
+            np.multiply(c, self._wu[:, None], out=cw)
+            field_x = _eval_sin(cw, axis=0, scratch=shift)
+            field_x = _eval_cos(field_x, axis=1)
+            np.multiply(c, self._wv[None, :], out=cw)
+            field_y = _eval_cos(cw, axis=0)
+            field_y = _eval_sin(field_y, axis=1, scratch=shift)
 
-        # Field: E = -∇ψ;  ψ = Σ φ_uv β_u β_v cos(w_u x) cos(w_v y)
-        #   E_x = Σ φ_uv β_u β_v w_u sin(w_u x) cos(w_v y)   (IDSCT)
-        #   E_y = Σ φ_uv β_u β_v w_v cos(w_u x) sin(w_v y)   (IDCST)
-        profiled("idsct_field", 2)
-        c = phi * self._beta2d
-        field_x = _eval_sin(c * self._wu[:, None], axis=0)
-        field_x = _eval_cos(field_x, axis=1)
-        field_y = _eval_cos(c * self._wv[None, :], axis=0)
-        field_y = _eval_sin(field_y, axis=1)
-
-        energy = float(np.sum(rho * potential) * grid.bin_area)
-        return FieldSolution(potential, field_x, field_y, energy)
-
-    def _solve_ws(self, density: np.ndarray) -> FieldSolution:
-        """Workspace twin of :meth:`_solve_alloc` (``es.*`` buffers)."""
-        grid = self.grid
-        ws = self.workspace
-        shape = grid.shape
-        profiled("dct_forward")
-        rho = ws.get("es.rho", shape)
-        np.subtract(density, density.mean(), out=rho)
-        coef = sfft.dctn(rho, type=2, norm="ortho")
-        phi = ws.get("es.phi", shape)
-        np.multiply(coef, self._inv_denom, out=phi)
-        phi[0, 0] = 0.0
-
-        profiled("idct_potential")
-        potential = sfft.idctn(phi, type=2, norm="ortho")
-
-        profiled("idsct_field", 2)
-        c = ws.get("es.c", shape)
-        np.multiply(phi, self._beta2d, out=c)
-        cw = ws.get("es.cw", shape)
-        shift = ws.get("es.shift", shape)
-        np.multiply(c, self._wu[:, None], out=cw)
-        field_x = _eval_sin(cw, axis=0, scratch=shift, inplace=True)
-        field_x = _eval_cos(field_x, axis=1, inplace=True)
-        np.multiply(c, self._wv[None, :], out=cw)
-        field_y = _eval_cos(cw, axis=0, inplace=True)
-        field_y = _eval_sin(field_y, axis=1, scratch=shift, inplace=True)
-
-        etmp = ws.get("es.etmp", shape)
-        np.multiply(rho, potential, out=etmp)
-        energy = float(np.sum(etmp) * grid.bin_area)
-        return FieldSolution(potential, field_x, field_y, energy)
+            etmp = ws.get("es.etmp", shape)
+            np.multiply(rho, potential, out=etmp)
+            energy = float(np.sum(etmp) * grid.bin_area)
+            return FieldSolution(potential, field_x, field_y, energy)
 
     # ------------------------------------------------------------------
     def solve_reference(self, density: np.ndarray) -> FieldSolution:

@@ -9,7 +9,9 @@ relying on hard projection alone.
 
 Duck-type compatible with :class:`repro.density.DensitySystem`, so the
 gradient engine and placer work unchanged
-(``PlacementParams.fence_mode = "multi"`` selects it).
+(``PlacementParams.fence_mode = "multi"`` selects it).  Like it, the
+system runs its scatter and solver on one private arena unless
+:meth:`MultiRegionDensitySystem.attach_workspace` hands over another.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from repro.density.scatter import DensityScatter, rasterize_exact
 from repro.density.system import DensityResult
 from repro.dtypes import FLOAT
 from repro.netlist import Netlist
+from repro.perf.workspace import Workspace
 
 
 class _Group:
@@ -110,6 +113,7 @@ class MultiRegionDensitySystem:
         self.extraction = extraction
         self.scatter = DensityScatter(self.grid)
         self.solver = ElectrostaticSolver(self.grid)
+        self.attach_workspace(Workspace())
         rng = rng or np.random.default_rng(1)
 
         movable = netlist.movable
@@ -171,6 +175,12 @@ class MultiRegionDensitySystem:
             np.concatenate(ws) if ws else np.empty(0, dtype=FLOAT),
             np.concatenate(hs) if hs else np.empty(0, dtype=FLOAT),
         )
+
+    def attach_workspace(self, workspace: Workspace) -> None:
+        """Run the scatter and the solver on ``workspace``."""
+        self.workspace = workspace
+        self.scatter.attach_workspace(workspace)
+        self.solver.attach_workspace(workspace)
 
     # ------------------------------------------------------------------
     def evaluate(

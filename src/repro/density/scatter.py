@@ -11,14 +11,14 @@ cell's charge was scattered into, so energy gradients are consistent.
 ``rasterize_exact`` is the unsmoothed exact rasteriser, used for fixed
 macros (computed once) and as the brute-force reference in tests.
 
-With an attached :class:`~repro.perf.workspace.Workspace` both scatter
-and gather run through preallocated ``sc.*`` buffers: the per-axis
-overlap/validity rows are computed once per offset into ``(k, n)``
-arenas (instead of once per ``(dx, dy)`` pair), window passes compress
-into reused scratch, and a fresh scatter with an all-zero destination
-accumulates every pass through a single flat ``np.bincount`` — all
-bit-identical to the allocating fallback because the same values are
-combined in the same order.
+Scatter and gather run through the operator's
+:class:`~repro.perf.workspace.Workspace` arena (``sc.*`` buffers): the
+per-axis overlap/validity rows are computed once per offset into
+``(k, n)`` arrays (instead of once per ``(dx, dy)`` pair), window passes
+compress into reused scratch, and a fresh scatter with an all-zero
+destination accumulates every pass through a single flat
+``np.bincount``.  Returned maps (unless the caller passes ``out=``) and
+per-cell vectors are freshly allocated, never arena buffers.
 """
 
 from __future__ import annotations
@@ -66,50 +66,32 @@ class DensityScatter:
     grid : target bin grid
     smooth : inflate cells below √2·bin size (area preserved).  Disable
         only for exact-accounting tests.
-    workspace : optional buffer arena for allocation-free window passes
-        (``None`` keeps the plain allocating behaviour, bit-for-bit).
+
+    The operator owns a private arena; :meth:`attach_workspace` shares
+    another one (the density system hands over its own).
     """
 
-    def __init__(
-        self,
-        grid: BinGrid,
-        smooth: bool = True,
-        workspace: Optional[Workspace] = None,
-    ) -> None:
+    def __init__(self, grid: BinGrid, smooth: bool = True) -> None:
         self.grid = grid
         self.smooth = smooth
-        self.workspace = workspace
+        self.workspace = Workspace()
         # Cached bin-edge vectors for the (L, m) overlap-matrix paths.
         self._edges_x = np.arange(grid.m + 1, dtype=FLOAT) * grid.bin_w
         self._edges_y = np.arange(grid.m + 1, dtype=FLOAT) * grid.bin_h
 
-    def attach_workspace(self, workspace: Optional[Workspace]) -> None:
-        """Switch the operator onto (or off) an arena after construction."""
+    def attach_workspace(self, workspace: Workspace) -> None:
+        """Run the operator on ``workspace`` from now on."""
         self.workspace = workspace
 
     # ------------------------------------------------------------------
-    def _effective_boxes(self, w: np.ndarray, h: np.ndarray):
-        """Smoothed extents and the area-preserving density scale."""
-        if self.smooth:
-            we = np.maximum(w, _SQRT2 * self.grid.bin_w)
-            he = np.maximum(h, _SQRT2 * self.grid.bin_h)
-        else:
-            we, he = w, h
-        area = w * h
-        eff_area = we * he
-        scale = np.divide(
-            area, eff_area, out=np.zeros_like(area), where=eff_area > 0
-        )
-        return we, he, scale
-
-    def _effective_boxes_ws(self, ws: Workspace, w: np.ndarray, h: np.ndarray,
-                            tag: str = ""):
-        """Workspace twin of :meth:`_effective_boxes` (``sc.*`` buffers).
+    def _smoothed_boxes(self, w: np.ndarray, h: np.ndarray, tag: str = ""):
+        """Smoothed extents and the area-preserving density scale.
 
         ``tag`` namespaces the returned ``scale`` buffer so externally
         held window handles for different populations never alias even
         when the populations have the same size.
         """
+        ws = self.workspace
         n = w.shape[0]
         if self.smooth:
             we = ws.get("sc.we", n)
@@ -138,9 +120,8 @@ class DensityScatter:
         return ~large, large
 
     # ------------------------------------------------------------------
-    def _axis_overlaps_ws(
+    def _axis_overlaps(
         self,
-        ws: Workspace,
         tag: str,
         lo: np.ndarray,
         hi: np.ndarray,
@@ -150,10 +131,10 @@ class DensityScatter:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Per-offset overlap and validity rows for one axis.
 
-        Row ``d`` holds exactly the ``ov``/``valid`` vectors the fallback
-        recomputes inside the window loop for offset ``d`` — computed
-        once here instead of once per (dx, dy) pair.
+        Row ``d`` holds the overlap of ``[lo, hi]`` with bin ``i0 + d``
+        and whether that bin is on the grid and overlapped at all.
         """
+        ws = self.workspace
         n = lo.shape[0]
         m = self.grid.m
         ov = ws.get(f"sc.ov{tag}", (k, n))
@@ -180,9 +161,8 @@ class DensityScatter:
             np.logical_and(vrow, btmp, out=vrow)
         return ov, vv
 
-    def _prepare_windows_ws(
+    def _prepare_windows(
         self,
-        ws: Workspace,
         x: np.ndarray,
         y: np.ndarray,
         w: np.ndarray,
@@ -195,9 +175,10 @@ class DensityScatter:
         base indices, overlap/validity rows) for externally held
         handles; scratch buffers stay shared.
         """
+        ws = self.workspace
         grid = self.grid
         n = x.shape[0]
-        we, he, scale = self._effective_boxes_ws(ws, w, h, tag)
+        we, he, scale = self._smoothed_boxes(w, h, tag)
         bw, bh = grid.bin_w, grid.bin_h
 
         xl = ws.get("sc.xl", n)
@@ -223,10 +204,11 @@ class DensityScatter:
         np.floor(ftmp, out=ftmp)
         np.copyto(iy0, ftmp, casting="unsafe")
 
+        # Window sizes derived from the largest cell this call sees.
         kx = int(np.ceil(we.max() / bw)) + 1
         ky = int(np.ceil(he.max() / bh)) + 1
-        ovx, vvx = self._axis_overlaps_ws(ws, f"x{tag}", xl, xh, ix0, kx, bw)
-        ovy, vvy = self._axis_overlaps_ws(ws, f"y{tag}", yl, yh, iy0, ky, bh)
+        ovx, vvx = self._axis_overlaps(f"x{tag}", xl, xh, ix0, kx, bw)
+        ovy, vvy = self._axis_overlaps(f"y{tag}", yl, yh, iy0, ky, bh)
         return scale, ix0, iy0, ovx, vvx, ovy, vvy, kx, ky
 
     def prepare_windows(
@@ -251,15 +233,15 @@ class DensityScatter:
         tags), and the caller must not mutate ``x, y, w, h`` while it
         is live.
         Returns ``None`` (callers fall back to self-prepared windows)
-        when there is no arena, the population is empty, or it contains
-        large cells that take the per-cell exact path.
+        when the population is empty or contains large cells that take
+        the per-cell exact path.
         """
-        if self.workspace is None or x.size == 0:
+        if x.size == 0:
             return None
         _small, large = self._partition_large(w, h)
         if large.any():
             return None
-        return self._prepare_windows_ws(self.workspace, x, y, w, h, tag)
+        return self._prepare_windows(x, y, w, h, tag)
 
     # ------------------------------------------------------------------
     def scatter(
@@ -281,66 +263,9 @@ class DensityScatter:
         these exact cells (skips recomputing the overlap rows).
         """
         with timed("density_scatter"):
-            if self.workspace is not None and x.size > 0:
-                return self._scatter_ws(x, y, w, h, out, windows)
-            return self._scatter_alloc(x, y, w, h, out)
+            return self._scatter(x, y, w, h, out, windows)
 
-    def _scatter_alloc(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        w: np.ndarray,
-        h: np.ndarray,
-        out: Optional[np.ndarray],
-    ) -> np.ndarray:
-        grid = self.grid
-        density = out if out is not None else np.zeros(grid.shape, dtype=FLOAT)
-        if x.size == 0:
-            return density
-        small, large = self._partition_large(w, h)
-        if large.any():
-            density += rasterize_exact(
-                grid, x[large], y[large], w[large], h[large]
-            )
-            if not small.any():
-                return density
-            x, y, w, h = x[small], y[small], w[small], h[small]
-        we, he, scale = self._effective_boxes(w, h)
-        xl = x - we / 2 - grid.region.xl
-        yl = y - he / 2 - grid.region.yl
-        bw, bh = grid.bin_w, grid.bin_h
-        ix0 = np.floor(xl / bw).astype(INT)
-        iy0 = np.floor(yl / bh).astype(INT)
-        # Window sizes derived from the largest cell this call sees.
-        kx = int(np.ceil(we.max() / bw)) + 1
-        ky = int(np.ceil(he.max() / bh)) + 1
-        profiled("density_scatter", kx * ky)
-        # Work metric: cells processed per window pass (operator
-        # extraction saves duplicated passes over the same cells).
-        profiled("density_scatter_cells", int(x.size) * kx * ky)
-        for dx in range(kx):
-            cols = ix0 + dx
-            # Overlap of [xl, xl+we] with bin column [cols·bw, (cols+1)·bw].
-            ov_x = np.minimum(xl + we, (cols + 1) * bw) - np.maximum(xl, cols * bw)
-            ov_x = np.clip(ov_x, 0.0, None)
-            valid_x = (cols >= 0) & (cols < grid.m) & (ov_x > 0)
-            if not valid_x.any():
-                continue
-            for dy in range(ky):
-                rows = iy0 + dy
-                ov_y = np.minimum(yl + he, (rows + 1) * bh) - np.maximum(yl, rows * bh)
-                ov_y = np.clip(ov_y, 0.0, None)
-                valid = valid_x & (rows >= 0) & (rows < grid.m) & (ov_y > 0)
-                if not valid.any():
-                    continue
-                np.add.at(
-                    density,
-                    (cols[valid], rows[valid]),
-                    ov_x[valid] * ov_y[valid] * scale[valid],
-                )
-        return density
-
-    def _scatter_ws(
+    def _scatter(
         self,
         x: np.ndarray,
         y: np.ndarray,
@@ -353,6 +278,10 @@ class DensityScatter:
         grid = self.grid
         m = grid.m
         density = out
+        if x.size == 0:
+            if density is None:
+                density = np.zeros(grid.shape, dtype=FLOAT)
+            return density
         if windows is None:
             small, large = self._partition_large(w, h)
             if large.any():
@@ -373,11 +302,13 @@ class DensityScatter:
                 np.compress(small, w, out=wsz)
                 np.compress(small, h, out=hsz)
                 x, y, w, h = xs, ys, wsz, hsz
-            windows = self._prepare_windows_ws(ws, x, y, w, h)
+            windows = self._prepare_windows(x, y, w, h)
 
         n = x.shape[0]
         scale, ix0, iy0, ovx, vvx, ovy, vvy, kx, ky = windows
         profiled("density_scatter", kx * ky)
+        # Work metric: cells processed per window pass (operator
+        # extraction saves duplicated passes over the same cells).
         profiled("density_scatter_cells", n * kx * ky)
 
         vbuf = ws.get("sc.valid", n, BOOL)
@@ -386,9 +317,9 @@ class DensityScatter:
 
         if density is None:
             # Fresh all-zero destination: collect every window pass and
-            # accumulate them in one flat bincount.  Bit-identical to the
-            # per-pass np.add.at because the per-bin addends arrive in the
-            # same (pass, element) order and both accumulators start at 0.
+            # accumulate them in one flat bincount, which adds the
+            # per-bin addends in the same (pass, element) order as
+            # per-pass np.add.at would.
             cap = n * kx * ky
             flat = ws.get("sc.flat", cap, INT)
             vals = ws.get("sc.vals", cap)
@@ -421,8 +352,8 @@ class DensityScatter:
             ).reshape(grid.shape)
 
         # Pre-populated destination (caller out= or large-cell raster):
-        # accumulate per pass so the floating-point grouping matches the
-        # fallback exactly.
+        # accumulate pass by pass into it; adding a separately summed
+        # map instead would regroup the floating-point additions.
         ci = ws.get("sc.cols", n, INT)
         for dx in range(kx):
             vxrow = vvx[dx]
@@ -465,11 +396,7 @@ class DensityScatter:
         these exact cells.
         """
         with timed("density_gather"):
-            if windows is not None:
-                result = np.zeros(x.shape, dtype=FLOAT)
-                return self._gather_small_ws(field, x, y, w, h, result,
-                                             windows)
-            return self._gather_impl(field, x, y, w, h)
+            return self._gather(field, x, y, w, h, windows)
 
     def gather_pair(
         self,
@@ -494,15 +421,86 @@ class DensityScatter:
         handle for these exact cells.
         """
         with timed("density_gather"):
-            if self.workspace is None or x.size == 0:
-                return (
-                    self._gather_impl(field_a, x, y, w, h),
-                    self._gather_impl(field_b, x, y, w, h),
-                )
-            return self._gather_pair_ws(field_a, field_b, x, y, w, h,
-                                        windows)
+            return self._gather_pair(field_a, field_b, x, y, w, h, windows)
 
-    def _gather_pair_ws(
+    def _large_overlaps(self, x, y, w, h) -> Tuple[np.ndarray, np.ndarray]:
+        """Full (L, m) per-axis overlap matrices for large cells.
+
+        Large cells (movable macros) span many bins: contracting these
+        against a field in one einsum replaces iterating cells.
+        """
+        grid = self.grid
+        xl = x - w / 2 - grid.region.xl
+        yl = y - h / 2 - grid.region.yl
+        ov_x = _overlap_matrix(xl, xl + w, grid.m, grid.bin_w,
+                               edges=self._edges_x)
+        ov_y = _overlap_matrix(yl, yl + h, grid.m, grid.bin_h,
+                               edges=self._edges_y)
+        return ov_x, ov_y
+
+    def _gather(
+        self,
+        field: np.ndarray,
+        x: np.ndarray,
+        y: np.ndarray,
+        w: np.ndarray,
+        h: np.ndarray,
+        windows=None,
+    ) -> np.ndarray:
+        result = np.zeros(x.shape, dtype=FLOAT)
+        if x.size == 0:
+            return result
+        if windows is None:
+            small, large = self._partition_large(w, h)
+            if large.any():
+                ov_x, ov_y = self._large_overlaps(
+                    x[large], y[large], w[large], h[large]
+                )
+                result[large] = np.einsum("im,in,mn->i", ov_x, ov_y, field)
+                if small.any():
+                    result[small] = self._gather(
+                        field, x[small], y[small], w[small], h[small]
+                    )
+                return result
+            windows = self._prepare_windows(x, y, w, h)
+
+        ws = self.workspace
+        m = self.grid.m
+        n = x.shape[0]
+        scale, ix0, iy0, ovx, vvx, ovy, vvy, kx, ky = windows
+        profiled("density_gather", kx * ky)
+        field_flat = np.ascontiguousarray(field).reshape(-1)
+        vbuf = ws.get("sc.valid", n, BOOL)
+        cb = ws.get("sc.cb", n)
+        fv = ws.get("sc.fv", n)
+        ci = ws.get("sc.cols", n, INT)
+        itmp = ws.get("sc.itmp", n, INT)
+        for dx in range(kx):
+            vxrow = vvx[dx]
+            if not vxrow.any():
+                continue
+            for dy in range(ky):
+                np.logical_and(vxrow, vvy[dy], out=vbuf)
+                k = int(np.count_nonzero(vbuf))
+                if k == 0:
+                    continue
+                np.compress(vbuf, ix0, out=ci[:k])
+                np.add(ci[:k], dx, out=ci[:k])
+                np.multiply(ci[:k], m, out=ci[:k])
+                np.compress(vbuf, iy0, out=itmp[:k])
+                np.add(itmp[:k], dy, out=itmp[:k])
+                np.add(ci[:k], itmp[:k], out=ci[:k])
+                np.take(field_flat, ci[:k], out=fv[:k])
+                np.compress(vbuf, ovx[dx], out=cb[:k])
+                np.multiply(fv[:k], cb[:k], out=fv[:k])
+                np.compress(vbuf, ovy[dy], out=cb[:k])
+                np.multiply(fv[:k], cb[:k], out=fv[:k])
+                np.compress(vbuf, scale, out=cb[:k])
+                np.multiply(fv[:k], cb[:k], out=fv[:k])
+                result[vbuf] += fv[:k]
+        return result
+
+    def _gather_pair(
         self,
         field_a: np.ndarray,
         field_b: np.ndarray,
@@ -512,36 +510,31 @@ class DensityScatter:
         h: np.ndarray,
         windows=None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        grid = self.grid
         result_a = np.zeros(x.shape, dtype=FLOAT)
         result_b = np.zeros(x.shape, dtype=FLOAT)
-        small, large = (None, None) if windows is not None else \
-            self._partition_large(w, h)
-        if windows is None and large.any():
-            idx = np.flatnonzero(large)
-            xl = x[idx] - w[idx] / 2 - grid.region.xl
-            yl = y[idx] - h[idx] / 2 - grid.region.yl
-            ov_x = _overlap_matrix(xl, xl + w[idx], grid.m, grid.bin_w,
-                                   edges=self._edges_x)
-            ov_y = _overlap_matrix(yl, yl + h[idx], grid.m, grid.bin_h,
-                                   edges=self._edges_y)
-            result_a[idx] = np.einsum("im,in,mn->i", ov_x, ov_y, field_a)
-            result_b[idx] = np.einsum("im,in,mn->i", ov_x, ov_y, field_b)
-            if not small.any():
-                return result_a, result_b
-            small_idx = np.flatnonzero(small)
-            sub_a, sub_b = self._gather_pair_ws(
-                field_a, field_b, x[small], y[small], w[small], h[small]
-            )
-            result_a[small_idx] = sub_a
-            result_b[small_idx] = sub_b
+        if x.size == 0:
             return result_a, result_b
+        if windows is None:
+            small, large = self._partition_large(w, h)
+            if large.any():
+                ov_x, ov_y = self._large_overlaps(
+                    x[large], y[large], w[large], h[large]
+                )
+                result_a[large] = np.einsum("im,in,mn->i", ov_x, ov_y,
+                                            field_a)
+                result_b[large] = np.einsum("im,in,mn->i", ov_x, ov_y,
+                                            field_b)
+                if small.any():
+                    result_a[small], result_b[small] = self._gather_pair(
+                        field_a, field_b, x[small], y[small], w[small],
+                        h[small]
+                    )
+                return result_a, result_b
+            windows = self._prepare_windows(x, y, w, h)
 
         ws = self.workspace
-        m = grid.m
+        m = self.grid.m
         n = x.shape[0]
-        if windows is None:
-            windows = self._prepare_windows_ws(ws, x, y, w, h)
         scale, ix0, iy0, ovx, vvx, ovy, vvy, kx, ky = windows
         profiled("density_gather", kx * ky)
         fa_flat = np.ascontiguousarray(field_a).reshape(-1)
@@ -581,133 +574,6 @@ class DensityScatter:
                 result_a[vbuf] += fva[:k]
                 result_b[vbuf] += fvb[:k]
         return result_a, result_b
-
-    def _gather_impl(
-        self,
-        field: np.ndarray,
-        x: np.ndarray,
-        y: np.ndarray,
-        w: np.ndarray,
-        h: np.ndarray,
-    ) -> np.ndarray:
-        grid = self.grid
-        result = np.zeros(x.shape, dtype=FLOAT)
-        if x.size == 0:
-            return result
-        small, large = self._partition_large(w, h)
-        if large.any():
-            # Large cells (movable macros) span many bins: build the full
-            # (L, m) overlap matrices and contract against the field in
-            # one einsum instead of iterating cells in Python.
-            idx = np.flatnonzero(large)
-            xl = x[idx] - w[idx] / 2 - grid.region.xl
-            yl = y[idx] - h[idx] / 2 - grid.region.yl
-            ov_x = _overlap_matrix(xl, xl + w[idx], grid.m, grid.bin_w,
-                                   edges=self._edges_x)
-            ov_y = _overlap_matrix(yl, yl + h[idx], grid.m, grid.bin_h,
-                                   edges=self._edges_y)
-            result[idx] = np.einsum("im,in,mn->i", ov_x, ov_y, field)
-            if not small.any():
-                return result
-            small_idx = np.flatnonzero(small)
-            result[small_idx] = self._gather_impl(
-                field, x[small], y[small], w[small], h[small]
-            )
-            return result
-        if self.workspace is not None:
-            return self._gather_small_ws(field, x, y, w, h, result)
-        return self._gather_small_alloc(field, x, y, w, h, result)
-
-    def _gather_small_alloc(
-        self,
-        field: np.ndarray,
-        x: np.ndarray,
-        y: np.ndarray,
-        w: np.ndarray,
-        h: np.ndarray,
-        result: np.ndarray,
-    ) -> np.ndarray:
-        grid = self.grid
-        we, he, scale = self._effective_boxes(w, h)
-        xl = x - we / 2 - grid.region.xl
-        yl = y - he / 2 - grid.region.yl
-        bw, bh = grid.bin_w, grid.bin_h
-        ix0 = np.floor(xl / bw).astype(INT)
-        iy0 = np.floor(yl / bh).astype(INT)
-        kx = int(np.ceil(we.max() / bw)) + 1
-        ky = int(np.ceil(he.max() / bh)) + 1
-        profiled("density_gather", kx * ky)
-        for dx in range(kx):
-            cols = ix0 + dx
-            ov_x = np.minimum(xl + we, (cols + 1) * bw) - np.maximum(xl, cols * bw)
-            ov_x = np.clip(ov_x, 0.0, None)
-            valid_x = (cols >= 0) & (cols < grid.m) & (ov_x > 0)
-            if not valid_x.any():
-                continue
-            for dy in range(ky):
-                rows = iy0 + dy
-                ov_y = np.minimum(yl + he, (rows + 1) * bh) - np.maximum(yl, rows * bh)
-                ov_y = np.clip(ov_y, 0.0, None)
-                valid = valid_x & (rows >= 0) & (rows < grid.m) & (ov_y > 0)
-                if not valid.any():
-                    continue
-                # Masked accumulation: O(valid) work per pass instead of a
-                # full zeros_like temporary and an O(N) dense add.
-                result[valid] += (
-                    field[cols[valid], rows[valid]]
-                    * ov_x[valid]
-                    * ov_y[valid]
-                    * scale[valid]
-                )
-        return result
-
-    def _gather_small_ws(
-        self,
-        field: np.ndarray,
-        x: np.ndarray,
-        y: np.ndarray,
-        w: np.ndarray,
-        h: np.ndarray,
-        result: np.ndarray,
-        windows=None,
-    ) -> np.ndarray:
-        ws = self.workspace
-        m = self.grid.m
-        n = x.shape[0]
-        if windows is None:
-            windows = self._prepare_windows_ws(ws, x, y, w, h)
-        scale, ix0, iy0, ovx, vvx, ovy, vvy, kx, ky = windows
-        profiled("density_gather", kx * ky)
-        field_flat = np.ascontiguousarray(field).reshape(-1)
-        vbuf = ws.get("sc.valid", n, BOOL)
-        cb = ws.get("sc.cb", n)
-        fv = ws.get("sc.fv", n)
-        ci = ws.get("sc.cols", n, INT)
-        itmp = ws.get("sc.itmp", n, INT)
-        for dx in range(kx):
-            vxrow = vvx[dx]
-            if not vxrow.any():
-                continue
-            for dy in range(ky):
-                np.logical_and(vxrow, vvy[dy], out=vbuf)
-                k = int(np.count_nonzero(vbuf))
-                if k == 0:
-                    continue
-                np.compress(vbuf, ix0, out=ci[:k])
-                np.add(ci[:k], dx, out=ci[:k])
-                np.multiply(ci[:k], m, out=ci[:k])
-                np.compress(vbuf, iy0, out=itmp[:k])
-                np.add(itmp[:k], dy, out=itmp[:k])
-                np.add(ci[:k], itmp[:k], out=ci[:k])
-                np.take(field_flat, ci[:k], out=fv[:k])
-                np.compress(vbuf, ovx[dx], out=cb[:k])
-                np.multiply(fv[:k], cb[:k], out=fv[:k])
-                np.compress(vbuf, ovy[dy], out=cb[:k])
-                np.multiply(fv[:k], cb[:k], out=fv[:k])
-                np.compress(vbuf, scale, out=cb[:k])
-                np.multiply(fv[:k], cb[:k], out=fv[:k])
-                result[vbuf] += fv[:k]
-        return result
 
 
 def rasterize_exact(

@@ -14,6 +14,11 @@ scattered *again*, duplicating the dominant workload.
 Fixed cells are rasterised once at construction; following ePlace's
 macro-density scaling, their per-bin contribution is clamped to the
 target density so a legal placement can reach zero overflow.
+
+The scatter/gather kernels and the solver share one
+:class:`~repro.perf.workspace.Workspace` arena (``ds.*`` buffers here),
+private to the system unless :meth:`DensitySystem.attach_workspace`
+hands over another one.
 """
 
 from __future__ import annotations
@@ -67,9 +72,9 @@ class DensitySystem:
         self.target_density = target_density
         self.grid = grid or BinGrid.for_netlist(netlist)
         self.extraction = extraction
-        self.workspace: Optional[Workspace] = None
         self.scatter = DensityScatter(self.grid)
         self.solver = ElectrostaticSolver(self.grid)
+        self.attach_workspace(Workspace())
 
         movable = netlist.movable
         self._mov_idx = np.flatnonzero(movable)
@@ -99,13 +104,13 @@ class DensitySystem:
                 width=1.0, height=1.0, x=np.empty(0, dtype=FLOAT), y=np.empty(0, dtype=FLOAT)
             )
 
-    def attach_workspace(self, workspace: Optional[Workspace]) -> None:
-        """Thread a buffer arena through the scatter and solver kernels.
+    def attach_workspace(self, workspace: Workspace) -> None:
+        """Run the system, its scatter and its solver on ``workspace``.
 
         The maps and gradients placed in :class:`DensityResult` stay
-        freshly allocated either way — the gradient engine caches them by
-        object identity across iterations, so they must never live in
-        reused arena buffers.  Only true scratch goes through the arena.
+        freshly allocated — the gradient engine caches them by object
+        identity across iterations, so they must never live in reused
+        arena buffers.  Only true scratch goes through the arena.
         """
         self.workspace = workspace
         self.scatter.attach_workspace(workspace)
@@ -124,28 +129,22 @@ class DensitySystem:
             filler_x, filler_y = self.fillers.x, self.fillers.y
         ws = self.workspace
         bin_area = self.grid.bin_area
-        if ws is not None:
-            mov_x = ws.get("ds.mov_x", self._mov_idx.shape[0])
-            mov_y = ws.get("ds.mov_y", self._mov_idx.shape[0])
-            np.take(x, self._mov_idx, out=mov_x)
-            np.take(y, self._mov_idx, out=mov_y)
-        else:
-            mov_x = x[self._mov_idx]
-            mov_y = y[self._mov_idx]
+        mov_x = ws.get("ds.mov_x", self._mov_idx.shape[0])
+        mov_y = ws.get("ds.mov_y", self._mov_idx.shape[0])
+        np.take(x, self._mov_idx, out=mov_x)
+        np.take(y, self._mov_idx, out=mov_y)
 
         # Shared window handles: the scatter and the force gathers below
         # run over the same cell geometry, so the boxes/overlap rows are
         # computed once per population per iteration.
-        win_mov = win_fil = None
-        if ws is not None:
-            win_mov = self.scatter.prepare_windows(
-                mov_x, mov_y, self._mov_w, self._mov_h, tag="@mov"
-            )
+        win_mov = self.scatter.prepare_windows(
+            mov_x, mov_y, self._mov_w, self._mov_h, tag="@mov"
+        )
+        win_fil = None
 
-        if self.extraction and ws is not None:
-            # Same dataflow as below, but the fresh scatter outputs are
-            # finalised in place: D = map/A_b + fixed needs no extra
-            # temporaries because the scatter already returned new arrays.
+        if self.extraction:
+            # D computed once, shared by overflow and D̃ (Fig. 2a).  The
+            # fresh scatter outputs are finalised in place.
             mov_map = self.scatter.scatter(
                 mov_x, mov_y, self._mov_w, self._mov_h, windows=win_mov
             )
@@ -164,15 +163,6 @@ class DensitySystem:
             np.divide(filler_map, bin_area, out=filler_map)
             np.add(density, filler_map, out=filler_map)
             total = filler_map
-        elif self.extraction:
-            # D computed once, shared by overflow and D̃ (Fig. 2a).
-            mov_map = self.scatter.scatter(mov_x, mov_y, self._mov_w, self._mov_h)
-            density = mov_map / bin_area + self._fixed_density
-            filler_map = self.scatter.scatter(
-                filler_x, filler_y, self.fillers.w, self.fillers.h
-            )
-            profiled("density_add")
-            total = density + filler_map / bin_area
         else:
             # Fused scatter for the solver input...
             all_x = np.concatenate([mov_x, filler_x])
@@ -192,7 +182,7 @@ class DensitySystem:
             self.grid,
             self.target_density,
             self.movable_area,
-            scratch=None if ws is None else ws.get("ds.ovfl", self.grid.shape),
+            scratch=ws.get("ds.ovfl", self.grid.shape),
         )
         field = self.solver.solve(total)
 
@@ -202,38 +192,24 @@ class DensitySystem:
         # alias arena storage).
         grad_x = np.zeros(self.netlist.num_cells, dtype=FLOAT)
         grad_y = np.zeros(self.netlist.num_cells, dtype=FLOAT)
-        if ws is not None:
-            # Paired gather: both field axes share one window computation
-            # (identical cell geometry) — bit-identical per-cell values.
-            # The windows themselves are reused from the scatter above.
-            if win_fil is None:
-                win_fil = self.scatter.prepare_windows(
-                    filler_x, filler_y, self.fillers.w, self.fillers.h,
-                    tag="@fil",
-                )
-            mgx, mgy = self.scatter.gather_pair(
-                field.field_x, field.field_y,
-                mov_x, mov_y, self._mov_w, self._mov_h,
-                windows=win_mov,
-            )
-            filler_grad_x, filler_grad_y = self.scatter.gather_pair(
-                field.field_x, field.field_y,
+        # Paired gather: both field axes share one window computation
+        # (identical cell geometry).  The windows themselves are reused
+        # from the scatter above.
+        if win_fil is None:
+            win_fil = self.scatter.prepare_windows(
                 filler_x, filler_y, self.fillers.w, self.fillers.h,
-                windows=win_fil,
+                tag="@fil",
             )
-        else:
-            mgx = self.scatter.gather(
-                field.field_x, mov_x, mov_y, self._mov_w, self._mov_h
-            )
-            mgy = self.scatter.gather(
-                field.field_y, mov_x, mov_y, self._mov_w, self._mov_h
-            )
-            filler_grad_x = self.scatter.gather(
-                field.field_x, filler_x, filler_y, self.fillers.w, self.fillers.h
-            )
-            filler_grad_y = self.scatter.gather(
-                field.field_y, filler_x, filler_y, self.fillers.w, self.fillers.h
-            )
+        mgx, mgy = self.scatter.gather_pair(
+            field.field_x, field.field_y,
+            mov_x, mov_y, self._mov_w, self._mov_h,
+            windows=win_mov,
+        )
+        filler_grad_x, filler_grad_y = self.scatter.gather_pair(
+            field.field_x, field.field_y,
+            filler_x, filler_y, self.fillers.w, self.fillers.h,
+            windows=win_fil,
+        )
         np.negative(mgx, out=mgx)
         grad_x[self._mov_idx] = mgx
         np.negative(mgy, out=mgy)

@@ -17,7 +17,7 @@ function σ(ω) both key off it.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from repro.dtypes import FLOAT
@@ -29,9 +29,14 @@ from repro.perf.workspace import Workspace
 
 
 class Preconditioner:
-    """Preconditions concatenated [movable cells; fillers] gradients."""
+    """Preconditions concatenated [movable cells; fillers] gradients.
+
+    The denominator scratch lives in a private arena unless
+    :meth:`attach_workspace` shares another one.
+    """
 
     def __init__(self, netlist: Netlist, fillers: FillerCells) -> None:
+        self.workspace = Workspace()
         movable = netlist.movable_index
         self._hw = np.concatenate(
             [
@@ -46,29 +51,26 @@ class Preconditioner:
         self._hw_norm = float(np.sum(np.abs(self._hw[: self._num_movable])))
         self._hd_norm = float(np.sum(np.abs(self._hd[: self._num_movable])))
 
+    def attach_workspace(self, workspace: Workspace) -> None:
+        """Keep the denominator scratch in ``workspace`` from now on."""
+        self.workspace = workspace
+
     # ------------------------------------------------------------------
     def apply(
-        self,
-        grad_x: np.ndarray,
-        grad_y: np.ndarray,
-        lam: float,
-        workspace: Optional[Workspace] = None,
+        self, grad_x: np.ndarray, grad_y: np.ndarray, lam: float
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Return H̃⁻¹·grad for both axes (clamped denominator ≥ 1).
 
         The returned arrays are always freshly allocated — the Nesterov
         optimizer retains them across iterations as its previous-gradient
-        state, so they must never alias arena buffers.  ``workspace``
-        only recycles the denominator scratch.
+        state, so they must never alias arena buffers.  Only the
+        denominator scratch is recycled.
         """
         profiled("precondition", 2)
-        if workspace is None:
-            denom = np.maximum(self._hw + lam * self._hd, 1.0)
-        else:
-            denom = workspace.get("pre.denom", self._hw.shape)
-            np.multiply(self._hd, lam, out=denom)
-            np.add(denom, self._hw, out=denom)
-            np.maximum(denom, 1.0, out=denom)
+        denom = self.workspace.get("pre.denom", self._hw.shape)
+        np.multiply(self._hd, lam, out=denom)
+        np.add(denom, self._hw, out=denom)
+        np.maximum(denom, 1.0, out=denom)
         return grad_x / denom, grad_y / denom
 
     def omega(self, lam: float) -> float:

@@ -2,10 +2,11 @@
 
 ``Workspace`` (:mod:`repro.perf.workspace`) is the preallocated scratch
 arena the gradient engine threads through the hot operators;
-:mod:`repro.perf.bench` is the ``repro bench`` harness that proves the
-arena's speedup (and catches regressions) on sized synthetic designs.
+:mod:`repro.perf.bench` is the ``repro bench`` harness that times those
+operators on sized synthetic designs and gates regressions against a
+saved report.
 """
 
-from repro.perf.workspace import Workspace, maybe_workspace
+from repro.perf.workspace import Workspace
 
-__all__ = ["Workspace", "maybe_workspace"]
+__all__ = ["Workspace"]

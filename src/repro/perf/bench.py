@@ -1,20 +1,15 @@
 """Operator benchmark harness behind ``repro bench``.
 
 Runs the combined wirelength + density gradient step (the hot loop of
-global placement) on a sized synthetic design, once with the
-:class:`~repro.perf.workspace.Workspace` arena and once with the plain
-allocating kernels, and reports per operator:
+global placement) on a sized synthetic design and reports per operator:
 
 * **launches** — vectorised-kernel dispatch counts (``profiled``),
 * **seconds** — wall time inside the ``timed(...)`` operator spans,
 * **peak temporary bytes** — ``tracemalloc`` peak of one isolated
-  operator invocation (the allocating cost the arena removes), plus the
-  arena's resident bytes per operator namespace for the workspace mode.
+  operator invocation,
 
-Both modes drive *identical* inputs through *identical* math; the
-harness asserts the assembled gradients match bit-for-bit before it
-trusts any timing, and (optionally) replays a short real GP run in both
-modes to check the HPWL trajectory is bit-identical too.
+plus the :class:`~repro.perf.workspace.Workspace` arena's steady-state
+hit/miss counters and resident bytes per operator namespace.
 
 The report is JSON-friendly and written to ``BENCH_operator.json`` at
 the repo root by the CLI; ``--compare`` diffs a fresh run against a
@@ -35,7 +30,9 @@ import numpy as np
 from repro.ops import KernelProfiler, use_profiler
 
 DEFAULT_REPORT = "BENCH_operator.json"
-SCHEMA_VERSION = 1
+#: v2: one mode (the arena path); timings moved from ``modes.workspace``
+#: to the top level and the workspace-vs-fallback keys were dropped.
+SCHEMA_VERSION = 2
 
 EXPLORE_REPORT = "BENCH_explore.json"
 EXPLORE_SCHEMA_VERSION = 1
@@ -52,19 +49,18 @@ OPERATORS = ("wirelength", "density_scatter", "field_solve", "density_gather")
 
 
 # ----------------------------------------------------------------------
-def _build(netlist, workspace: bool, seed: int):
-    """One (engine, pos_x, pos_y, gamma, lam) harness for a mode.
+def _build(netlist, seed: int):
+    """One (engine, pos_x, pos_y, gamma, lam) harness.
 
     ``operator_skipping`` is off so every measured iteration pays the
-    full wirelength + density cost — the quantity being compared.
+    full wirelength + density cost.
     """
     from repro.core.gradient_engine import GradientEngine
     from repro.core.initializer import initial_positions
     from repro.core.params import PlacementParams
     from repro.density.system import DensitySystem
 
-    params = PlacementParams(workspace=workspace, operator_skipping=False,
-                             seed=seed)
+    params = PlacementParams(operator_skipping=False, seed=seed)
     density = DensitySystem(
         netlist,
         target_density=params.target_density,
@@ -119,11 +115,28 @@ def _operator_peaks(engine, pos_x, pos_y, gamma) -> Dict[str, int]:
     return peaks
 
 
-def _mode_dict(workspace: bool, step_seconds: List[float],
-               profiler: KernelProfiler, peaks: Dict[str, int],
-               arena_stats: Optional[Dict[str, Any]]) -> Dict[str, Any]:
-    mode: Dict[str, Any] = {
-        "workspace": workspace,
+def _measure(netlist, iters: int, warmup: int, seed: int) -> Dict[str, Any]:
+    """Time ``iters`` steady-state gradient steps after ``warmup`` ones."""
+    engine, pos_x, pos_y, gamma, lam = _build(netlist, seed)
+    profiler = KernelProfiler(timed=True)
+    step_seconds: List[float] = []
+    with use_profiler(profiler):
+        for i in range(warmup):
+            _step(engine, pos_x, pos_y, gamma, lam, i)
+        profiler.reset()
+        engine.workspace.reset_counters()
+        for i in range(iters):
+            start = time.perf_counter()
+            _step(engine, pos_x, pos_y, gamma, lam, warmup + i)
+            step_seconds.append(time.perf_counter() - start)
+
+    # Steady-state arena stats before the probes below touch buffers
+    # outside the hot loop.
+    arena_stats = engine.workspace.stats()
+    # Outside the profiler context: the peaks probe re-invokes the
+    # operators and must not pollute the measured launch/span totals.
+    peaks = _operator_peaks(engine, pos_x, pos_y, gamma)
+    return {
         "step_seconds_mean": float(np.mean(step_seconds)),
         "step_seconds_median": float(np.median(step_seconds)),
         "step_seconds_min": float(np.min(step_seconds)),
@@ -137,93 +150,7 @@ def _mode_dict(workspace: bool, step_seconds: List[float],
         },
         "operator_peak_temp_bytes": peaks,
         "total_launches": int(profiler.total),
-    }
-    if arena_stats is not None:
-        mode["arena"] = arena_stats
-    return mode
-
-
-def _run_modes(netlist, iters: int, warmup: int, seed: int):
-    """Time steady-state gradient steps in both modes, interleaved.
-
-    Alternating workspace/fallback steps (instead of one long block per
-    mode) means slow machine drift — frequency scaling, noisy
-    neighbours — lands on both sides equally; the per-mode medians stay
-    comparable even on a loaded host.
-    """
-    eng_ws, px_ws, py_ws, gamma, lam = _build(netlist, True, seed)
-    eng_al, px_al, py_al, _gamma, _lam = _build(netlist, False, seed)
-    prof_ws = KernelProfiler(timed=True)
-    prof_al = KernelProfiler(timed=True)
-    ws_seconds: List[float] = []
-    al_seconds: List[float] = []
-
-    for i in range(warmup):
-        with use_profiler(prof_ws):
-            _step(eng_ws, px_ws, py_ws, gamma, lam, i)
-        with use_profiler(prof_al):
-            _step(eng_al, px_al, py_al, gamma, lam, i)
-    prof_ws.reset()
-    prof_al.reset()
-    eng_ws.workspace.reset_counters()
-
-    for i in range(iters):
-        with use_profiler(prof_ws):
-            start = time.perf_counter()
-            _step(eng_ws, px_ws, py_ws, gamma, lam, warmup + i)
-            ws_seconds.append(time.perf_counter() - start)
-        with use_profiler(prof_al):
-            start = time.perf_counter()
-            _step(eng_al, px_al, py_al, gamma, lam, warmup + i)
-            al_seconds.append(time.perf_counter() - start)
-
-    # Steady-state arena stats before the probes below touch buffers
-    # outside the hot loop.
-    arena_stats = eng_ws.workspace.stats()
-    # Outside the profiler contexts: the peaks probe re-invokes the
-    # operators and must not pollute the measured launch/span totals.
-    ws_peaks = _operator_peaks(eng_ws, px_ws, py_ws, gamma)
-    al_peaks = _operator_peaks(eng_al, px_al, py_al, gamma)
-
-    # One final step per mode just for the gradient fingerprint (mode
-    # identity check) — outside the timing, after the peaks probes.
-    _r, ws_gx, ws_gy = _step(eng_ws, px_ws, py_ws, gamma, lam,
-                             warmup + iters)
-    ws_grads = (np.array(ws_gx, copy=True), np.array(ws_gy, copy=True))
-    _r, al_gx, al_gy = _step(eng_al, px_al, py_al, gamma, lam,
-                             warmup + iters)
-    al_grads = (np.array(al_gx, copy=True), np.array(al_gy, copy=True))
-
-    ws_mode = _mode_dict(True, ws_seconds, prof_ws, ws_peaks, arena_stats)
-    al_mode = _mode_dict(False, al_seconds, prof_al, al_peaks, None)
-    return ws_mode, al_mode, ws_grads, al_grads
-
-
-def _trajectory_check(netlist, iterations: int, seed: int) -> Dict[str, Any]:
-    """Replay a short real GP run in both modes; trajectories must match."""
-    from repro.core.params import PlacementParams
-    from repro.core.placer import XPlacer
-
-    traces = {}
-    for workspace in (True, False):
-        params = PlacementParams(
-            workspace=workspace,
-            max_iterations=iterations,
-            min_iterations=min(5, iterations),
-            seed=seed,
-        )
-        result = XPlacer(netlist, params).run()
-        traces[workspace] = (result.recorder.trace("hpwl"),
-                             result.x, result.y)
-    hpwl_ws, x_ws, y_ws = traces[True]
-    hpwl_al, x_al, y_al = traces[False]
-    return {
-        "iterations": int(len(hpwl_ws)),
-        "hpwl_identical": bool(np.array_equal(hpwl_ws, hpwl_al)),
-        "positions_identical": bool(
-            np.array_equal(x_ws, x_al) and np.array_equal(y_ws, y_al)
-        ),
-        "final_hpwl": float(hpwl_ws[-1]) if len(hpwl_ws) else None,
+        "arena": arena_stats,
     }
 
 
@@ -233,9 +160,8 @@ def run_bench(
     iters: Optional[int] = None,
     warmup: int = 3,
     seed: int = 0,
-    trajectory_iters: int = 0,
 ) -> Dict[str, Any]:
-    """Benchmark the gradient step in both modes; return the report dict."""
+    """Benchmark the gradient step; return the report dict."""
     if size not in SIZES:
         raise ValueError(f"unknown bench size {size!r}; pick from "
                          f"{sorted(SIZES)}")
@@ -245,20 +171,6 @@ def run_bench(
     if iters is None:
         iters = default_iters
     netlist = make_design(design, scale=scale)
-
-    ws_mode, al_mode, ws_grads, al_grads = _run_modes(
-        netlist, iters, warmup, seed
-    )
-    identical = bool(
-        np.array_equal(ws_grads[0], al_grads[0])
-        and np.array_equal(ws_grads[1], al_grads[1])
-    )
-    # Median over interleaved steps: robust to the occasional step that
-    # catches a scheduler hiccup, and both modes sample the same
-    # machine-state timeline.
-    ws_step = ws_mode["step_seconds_median"]
-    al_step = al_mode["step_seconds_median"]
-    reduction = (1.0 - ws_step / al_step) * 100.0 if al_step > 0 else 0.0
 
     report: Dict[str, Any] = {
         "schema": SCHEMA_VERSION,
@@ -271,14 +183,8 @@ def run_bench(
         "iters": int(iters),
         "warmup": int(warmup),
         "seed": int(seed),
-        "modes": {"workspace": ws_mode, "fallback": al_mode},
-        "step_reduction_pct": float(reduction),
-        "gradients_identical": identical,
     }
-    if trajectory_iters > 0:
-        report["trajectory"] = _trajectory_check(
-            netlist, trajectory_iters, seed
-        )
+    report.update(_measure(netlist, iters, warmup, seed))
     return report
 
 
@@ -422,25 +328,22 @@ def compare_reports(
 ) -> List[str]:
     """Regressions of ``new`` vs ``old``: list of human-readable strings.
 
-    A regression is a workspace-mode per-operator or per-step time more
-    than ``threshold`` (fractional) slower than the saved report.  Wall
+    A regression is a per-operator or per-step time more than
+    ``threshold`` (fractional) slower than the saved report.  Wall
     time is noisy across hosts, so the default tolerance is generous —
     this gate is for order-of-magnitude breakage (a lost fast path),
     not micro-variance.
     """
+    for key in ("schema", "size"):
+        if new.get(key) != old.get(key):
+            return [
+                f"{key} mismatch: new={new.get(key)!r} old={old.get(key)!r}"
+                " — reports are only comparable at the same schema and size"
+            ]
     problems: List[str] = []
-    if new.get("size") != old.get("size"):
-        problems.append(
-            f"size mismatch: new={new.get('size')!r} old={old.get('size')!r}"
-            " — benchmarks are only comparable at the same size"
-        )
-        return problems
-    new_ws = new["modes"]["workspace"]
-    old_ws = old["modes"]["workspace"]
     limit = 1.0 + threshold
-
-    new_step = new_ws.get("step_seconds_median", new_ws["step_seconds_mean"])
-    old_step = old_ws.get("step_seconds_median", old_ws["step_seconds_mean"])
+    new_step = new["step_seconds_median"]
+    old_step = old["step_seconds_median"]
     if old_step > 0 and new_step > old_step * limit:
         problems.append(
             f"step seconds (median) regressed: {new_step:.6f}s vs "
@@ -448,59 +351,39 @@ def compare_reports(
             f"threshold {threshold * 100:.0f}%)"
         )
     for op in OPERATORS:
-        new_sec = new_ws["operator_seconds"].get(op, 0.0)
-        old_sec = old_ws["operator_seconds"].get(op, 0.0)
+        new_sec = new["operator_seconds"].get(op, 0.0)
+        old_sec = old["operator_seconds"].get(op, 0.0)
         if old_sec > 0 and new_sec > old_sec * limit:
             problems.append(
                 f"{op} regressed: {new_sec:.6f}s vs {old_sec:.6f}s "
                 f"(+{(new_sec / old_sec - 1) * 100:.1f}%, "
                 f"threshold {threshold * 100:.0f}%)"
             )
-    if not new.get("gradients_identical", False):
-        problems.append("workspace/fallback gradients are no longer "
-                        "bit-identical")
     return problems
 
 
 def format_report(report: Dict[str, Any]) -> str:
     """Console rendering of one benchmark report."""
-    ws = report["modes"]["workspace"]
-    al = report["modes"]["fallback"]
     lines = [
         f"bench {report['size']} ({report['design']} scale="
         f"{report['scale']}, {report['num_cells']} cells, "
         f"{report['num_nets']} nets), {report['iters']} iters",
-        f"  step median: workspace {ws['step_seconds_median'] * 1e3:.2f}ms  "
-        f"fallback {al['step_seconds_median'] * 1e3:.2f}ms  "
-        f"(reduction {report['step_reduction_pct']:.1f}%)",
-        f"  step mean:   workspace {ws['step_seconds_mean'] * 1e3:.2f}ms  "
-        f"fallback {al['step_seconds_mean'] * 1e3:.2f}ms",
-        f"  gradients bit-identical: {report['gradients_identical']}",
-        f"  {'operator':<18s} {'ws sec':>9s} {'alloc sec':>10s} "
-        f"{'ws peak B':>10s} {'alloc peak B':>12s}",
+        f"  step median: {report['step_seconds_median'] * 1e3:.2f}ms  "
+        f"mean: {report['step_seconds_mean'] * 1e3:.2f}ms",
+        f"  {'operator':<18s} {'seconds':>9s} {'peak temp B':>12s}",
     ]
     for op in OPERATORS:
         lines.append(
-            f"  {op:<18s} {ws['operator_seconds'][op]:>9.4f} "
-            f"{al['operator_seconds'][op]:>10.4f} "
-            f"{ws['operator_peak_temp_bytes'].get(op, 0):>10d} "
-            f"{al['operator_peak_temp_bytes'].get(op, 0):>12d}"
+            f"  {op:<18s} {report['operator_seconds'][op]:>9.4f} "
+            f"{report['operator_peak_temp_bytes'].get(op, 0):>12d}"
         )
-    arena = ws.get("arena")
-    if arena:
-        per_op = ", ".join(
-            f"{k}={v}" for k, v in sorted(
-                arena["nbytes_by_operator"].items())
-        )
-        lines.append(
-            f"  arena: {arena['buffers']} buffers, {arena['nbytes']} B "
-            f"(hit rate {arena['hit_rate'] * 100:.1f}%), by ns: {per_op}"
-        )
-    traj = report.get("trajectory")
-    if traj:
-        lines.append(
-            f"  trajectory ({traj['iterations']} iters): hpwl identical="
-            f"{traj['hpwl_identical']} positions identical="
-            f"{traj['positions_identical']}"
-        )
+    arena = report["arena"]
+    per_op = ", ".join(
+        f"{k}={v}" for k, v in sorted(arena["nbytes_by_operator"].items())
+    )
+    lines.append(
+        f"  arena: {arena['buffers']} buffers, {arena['nbytes']} B "
+        f"(hit rate {arena['hit_rate'] * 100:.1f}%, "
+        f"{arena['misses']} misses), by ns: {per_op}"
+    )
     return "\n".join(lines)

@@ -24,7 +24,7 @@ across iterations (the gradient engine copies anything it caches).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
@@ -132,7 +132,3 @@ class Workspace:
             f"nbytes={self.nbytes}, hits={self.hits}, misses={self.misses})"
         )
 
-
-def maybe_workspace(enabled: bool) -> Optional[Workspace]:
-    """``Workspace()`` when enabled, else ``None`` (allocating fallback)."""
-    return Workspace() if enabled else None

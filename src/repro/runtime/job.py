@@ -49,7 +49,9 @@ from repro.wirelength import hpwl as hpwl_fn
 #: (a forked continuation and a from-scratch run of the same params are
 #: different results; a segment that pins its boundary state differs
 #: from one that clears it).
-CACHE_SCHEMA_VERSION = 3
+#: v4: the ``workspace`` param left PlacementParams (and so the hashed
+#: params payload); the arena is no longer optional.
+CACHE_SCHEMA_VERSION = 4
 
 #: Param knobs that cannot change the computed placement and therefore
 #: must not contribute to the content hash (a verbose rerun of a quiet

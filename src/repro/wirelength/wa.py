@@ -12,20 +12,19 @@ matching the ePlace/DREAMPlace gradient.  Per net, the WA gradient entries
 sum to zero (a property test checks this), so spread-out nets feel no net
 translation force.
 
-With an attached :class:`~repro.perf.workspace.Workspace` the operator
-runs the same arithmetic through preallocated arena buffers (``wa.*``)
-via ``out=``: every ufunc performs the identical elementwise/reduction
-computation, so results are bit-identical to the allocating fallback
-while the steady-state loop performs zero allocations for the WA
-temporaries.  The x and y axes deliberately share one buffer set — the
-x-axis pin gradient is scattered onto cells before the y-axis reuses
-its arena slots.
+All temporaries live in the operator's
+:class:`~repro.perf.workspace.Workspace` arena (``wa.*`` buffers) and
+every ufunc writes through ``out=``, so the steady-state loop performs
+zero allocations for them.  The x and y axes deliberately share one
+buffer set — the x-axis pin gradient is scattered onto cells before
+the y-axis reuses its arena slots.  The returned gradients come from
+``np.bincount`` and never alias the arena.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -62,25 +61,18 @@ class WirelengthOp:
         and shared by the objective, gradient and HPWL.  When False
         (ablation mode, "OC off"), HPWL re-reduces min/max separately,
         mimicking placers that dispatch an independent HPWL kernel.
-    workspace : optional buffer arena.  When attached, all WA
-        temporaries live in reused ``wa.*`` buffers (bit-identical
-        results, no steady-state allocations).  ``None`` keeps the
-        plain allocating behaviour.
+
+    The operator owns a private arena; :meth:`attach_workspace` shares
+    another one (the gradient engine hands over its own).
     """
 
-    def __init__(
-        self,
-        netlist: Netlist,
-        combined: bool = True,
-        workspace: Optional[Workspace] = None,
-    ) -> None:
+    def __init__(self, netlist: Netlist, combined: bool = True) -> None:
         self.netlist = netlist
         self.combined = combined
-        self.workspace = workspace
+        self.workspace = Workspace()
         self._weights = netlist.net_weight * netlist.net_mask
-        # Gather-once satellites: these are loop-invariant, so hoisting
-        # them out of _wa_axis removes two pin-sized gathers (and a
-        # mask negation) from every iteration on both code paths.
+        # Loop-invariant per-pin weights and mask, hoisted out of the
+        # per-axis pass.
         self._pin_weights = self._weights[netlist.pin2net]
         self._unmask = ~netlist.net_mask
         self._any_unmask = bool(np.any(self._unmask))
@@ -90,8 +82,8 @@ class WirelengthOp:
         self._starts = _safe_starts(netlist.net_start, num_pins)
         self._empty = np.diff(netlist.net_start) == 0
 
-    def attach_workspace(self, workspace: Optional[Workspace]) -> None:
-        """Switch the operator onto (or off) an arena after construction."""
+    def attach_workspace(self, workspace: Workspace) -> None:
+        """Run the operator on ``workspace`` from now on."""
         self.workspace = workspace
 
     # ------------------------------------------------------------------
@@ -99,55 +91,23 @@ class WirelengthOp:
         """Evaluate WA wirelength, its gradient and HPWL at ``(x, y)``."""
         with timed("wirelength"):
             netlist = self.netlist
-            if self.workspace is not None and self._num_pins > 0:
-                # Arena pin positions: take+add ≡ fancy-index + add.
-                ws = self.workspace
-                px = ws.get("wa.px", self._num_pins)
-                py = ws.get("wa.py", self._num_pins)
-                np.take(x, netlist.pin2cell, out=px)
-                np.add(px, netlist.pin_dx, out=px)
-                np.take(y, netlist.pin2cell, out=py)
-                np.add(py, netlist.pin_dy, out=py)
-            else:
-                px, py = netlist.pin_positions(x, y)
+            ws = self.workspace
+            px = ws.get("wa.px", self._num_pins)
+            py = ws.get("wa.py", self._num_pins)
+            np.take(x, netlist.pin2cell, out=px)
+            np.add(px, netlist.pin_dx, out=px)
+            np.take(y, netlist.pin2cell, out=py)
+            np.add(py, netlist.pin_dy, out=py)
             profiled("pin_positions", 2)
 
-            if self.workspace is not None and self._num_pins > 0:
-                wa_x, hpwl_x, pin_grad_x = self._wa_axis_ws(px, gamma)
-                grad_x = scatter_to_cells(
-                    pin_grad_x, netlist.pin2cell, netlist.num_cells
-                )
-                wa_y, hpwl_y, pin_grad_y = self._wa_axis_ws(py, gamma)
-                grad_y = scatter_to_cells(
-                    pin_grad_y, netlist.pin2cell, netlist.num_cells
-                )
-            else:
-                wa_x, hpwl_x, pin_grad_x = _wa_axis(
-                    px,
-                    netlist,
-                    gamma,
-                    self._weights,
-                    self._pin_weights,
-                    reuse_minmax=self.combined,
-                    starts=self._starts,
-                    empty=self._empty,
-                )
-                wa_y, hpwl_y, pin_grad_y = _wa_axis(
-                    py,
-                    netlist,
-                    gamma,
-                    self._weights,
-                    self._pin_weights,
-                    reuse_minmax=self.combined,
-                    starts=self._starts,
-                    empty=self._empty,
-                )
-                grad_x = scatter_to_cells(
-                    pin_grad_x, netlist.pin2cell, netlist.num_cells
-                )
-                grad_y = scatter_to_cells(
-                    pin_grad_y, netlist.pin2cell, netlist.num_cells
-                )
+            wa_x, hpwl_x, pin_grad_x = self._axis(px, gamma)
+            grad_x = scatter_to_cells(
+                pin_grad_x, netlist.pin2cell, netlist.num_cells
+            )
+            wa_y, hpwl_y, pin_grad_y = self._axis(py, gamma)
+            grad_y = scatter_to_cells(
+                pin_grad_y, netlist.pin2cell, netlist.num_cells
+            )
             return WAResult(
                 wa=float(wa_x + wa_y),
                 hpwl=float(hpwl_x + hpwl_y),
@@ -157,11 +117,7 @@ class WirelengthOp:
 
     # ------------------------------------------------------------------
     def _masked_weighted_sum(self, values: np.ndarray) -> float:
-        """``sum(where(net_mask, values, 0) * weights)`` via arena scratch.
-
-        copy + masked-zero + multiply reproduces ``np.where`` bit-for-bit
-        (same elementwise values, same pairwise summation order).
-        """
+        """``sum(where(net_mask, values, 0) * weights)`` via arena scratch."""
         ws = self.workspace
         masked = ws.get("wa.masked", values.shape)
         np.copyto(masked, values)
@@ -170,10 +126,14 @@ class WirelengthOp:
         np.multiply(masked, self._weights, out=masked)
         return float(np.sum(masked))
 
-    def _wa_axis_ws(
+    def _axis(
         self, pin_pos: np.ndarray, gamma: float
     ) -> Tuple[float, float, np.ndarray]:
-        """Workspace twin of :func:`_wa_axis` — same math, ``out=`` buffers."""
+        """WA objective/HPWL/per-pin gradient along one axis.
+
+        Returns (weighted WA total, weighted HPWL total, per-pin
+        gradient); the gradient is the ``wa.pin_grad`` arena buffer.
+        """
         ws = self.workspace
         netlist = self.netlist
         net_start = netlist.net_start
@@ -294,68 +254,6 @@ class WirelengthOp:
         np.subtract(gp, gm, out=pin_grad)
         np.multiply(pin_grad, self._pin_weights, out=pin_grad)
         return wa_total, hpwl_total, pin_grad
-
-
-def _wa_axis(
-    pin_pos: np.ndarray,
-    netlist: Netlist,
-    gamma: float,
-    weights: np.ndarray,
-    pin_weights: Optional[np.ndarray] = None,
-    reuse_minmax: bool = True,
-    starts: Optional[np.ndarray] = None,
-    empty: Optional[np.ndarray] = None,
-) -> Tuple[float, float, np.ndarray]:
-    """WA objective/HPWL/per-pin gradient along one axis.
-
-    Returns (weighted WA total, weighted HPWL total, per-pin gradient).
-    """
-    net_start = netlist.net_start
-    pin2net = netlist.pin2net
-    if pin_weights is None:
-        pin_weights = weights[pin2net]
-
-    net_max = segment_max(pin_pos, net_start, starts=starts)
-    net_min = segment_min(pin_pos, net_start, starts=starts)
-
-    if reuse_minmax:
-        spans = net_max - net_min
-    else:
-        # "OC off": an independent HPWL kernel recomputes the reductions.
-        spans = segment_max(pin_pos, net_start, starts=starts) - segment_min(
-            pin_pos, net_start, starts=starts
-        )
-    hpwl_total = float(np.sum(np.where(netlist.net_mask, spans, 0.0) * weights))
-
-    profiled("wa_exp", 2)
-    exp_plus = np.exp((pin_pos - net_max[pin2net]) / gamma)
-    exp_minus = np.exp((net_min[pin2net] - pin_pos) / gamma)
-
-    sum_plus = segment_sum(exp_plus, net_start, starts=starts, empty=empty)
-    sum_minus = segment_sum(exp_minus, net_start, starts=starts, empty=empty)
-    sum_xplus = segment_sum(pin_pos * exp_plus, net_start, starts=starts, empty=empty)
-    sum_xminus = segment_sum(pin_pos * exp_minus, net_start, starts=starts, empty=empty)
-
-    safe_plus = np.where(sum_plus > 0, sum_plus, 1.0)
-    safe_minus = np.where(sum_minus > 0, sum_minus, 1.0)
-    wa_per_net = sum_xplus / safe_plus - sum_xminus / safe_minus
-    wa_total = float(np.sum(np.where(netlist.net_mask, wa_per_net, 0.0) * weights))
-
-    # Per-pin gradient (shift treated as constant):
-    #   d(WA+)/dx_k = b+_k [ (1 + x_k/γ) c+  - d+/γ ] / c+²
-    #   d(WA-)/dx_k = b-_k [ (1 - x_k/γ) c-  + d-/γ ] / c-²
-    profiled("wa_grad", 2)
-    inv_gamma = 1.0 / gamma
-    c_plus = safe_plus[pin2net]
-    c_minus = safe_minus[pin2net]
-    d_plus = sum_xplus[pin2net]
-    d_minus = sum_xminus[pin2net]
-    grad_plus = exp_plus * ((1.0 + pin_pos * inv_gamma) * c_plus - d_plus * inv_gamma)
-    grad_plus /= c_plus * c_plus
-    grad_minus = exp_minus * ((1.0 - pin_pos * inv_gamma) * c_minus + d_minus * inv_gamma)
-    grad_minus /= c_minus * c_minus
-    pin_grad = (grad_plus - grad_minus) * pin_weights
-    return wa_total, hpwl_total, pin_grad
 
 
 def wa_wirelength_and_grad(

@@ -32,7 +32,10 @@ class TestTransformHelpers:
         i = np.arange(m)
         angles = np.pi * np.outer(np.arange(m), (2 * i + 1)) / (2 * m)
         expected = np.sin(angles).T @ coef
-        np.testing.assert_allclose(_eval_sin(coef, axis=0), expected, atol=1e-12)
+        np.testing.assert_allclose(
+            _eval_sin(coef, axis=0, scratch=np.empty_like(coef)), expected,
+            atol=1e-12,
+        )
 
     def test_eval_along_axis1(self):
         rng = np.random.default_rng(2)

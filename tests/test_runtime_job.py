@@ -1,5 +1,7 @@
 """PlacementJob specs, content hashing and the in-process executor."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,16 @@ class TestJobSpec:
     def test_bad_param_key_rejected(self):
         with pytest.raises(ValueError, match="bad job params"):
             small_job(params={"not_a_knob": 1})
+
+    def test_manifest_with_removed_workspace_param_rejected(self, tmp_path):
+        from repro.runtime.batch import load_manifest
+
+        path = tmp_path / "jobs.json"
+        path.write_text(json.dumps(
+            [{"design": "fft_1", "params": {"workspace": True}}]
+        ))
+        with pytest.raises(ValueError, match="bad job params"):
+            load_manifest(str(path))
 
     def test_unknown_manifest_key_rejected(self):
         with pytest.raises(ValueError, match="unknown job manifest keys"):
