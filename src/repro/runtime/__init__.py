@@ -2,10 +2,11 @@
 
 Everything below :mod:`repro.flow` runs *one* placement; this package
 runs *fleets* of them.  It turns a placement into a serializable
-:class:`PlacementJob` spec, schedules jobs across worker processes with
-timeouts, crash retries and progress events (:class:`WorkerPool` +
-:class:`EventLog`), short-circuits repeats through a content-addressed
-on-disk :class:`ResultCache`, and layers selection strategies on top —
+:class:`PlacementJob` spec, runs jobs on warm worker processes under the
+same supervised lifecycle as the ``repro serve`` daemon — timeouts,
+crash retries, hang preemption, worker quarantine and progress events
+(:class:`WorkerPool` + :class:`EventLog`), short-circuits repeats
+through a content-addressed on-disk :class:`ResultCache`, and layers selection strategies on top —
 :func:`race_seeds` / :func:`sweep_params` launch N variants and keep
 the best (or the first) finisher.  ``repro batch`` is the CLI face of
 :func:`run_batch`.
@@ -36,22 +37,15 @@ from repro.runtime.job import (
     execute_job,
     job_checkpoint_dir,
 )
-from repro.runtime.pool import (
-    DeadlineCallback,
-    JobInterruptedError,
-    JobTimeoutError,
-    WorkerPool,
-)
+from repro.runtime.pool import JobInterruptedError, WorkerPool
 from repro.runtime.race import RaceResult, race_seeds, sweep_params
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
-    "DeadlineCallback",
     "EVENT_KINDS",
     "EventLog",
     "JobInterruptedError",
     "JobResult",
-    "JobTimeoutError",
     "PlacementJob",
     "RaceResult",
     "ResultCache",

@@ -2,11 +2,12 @@
 
 Every observable moment in a batch run — a job entering the queue, a
 worker picking it up, a GP-loop heartbeat, a result or a failure — is
-one :class:`RuntimeEvent`.  Events are produced by the
-:class:`~repro.runtime.pool.WorkerPool` (scheduling events) and by the
+one :class:`RuntimeEvent`.  Events are produced by the scheduler and
+the :class:`~repro.service.lifecycle.Lifecycle` loop that batch and
+daemon share (scheduling and execution events) and by the
 workers themselves (loop events, bridged from the
-:class:`~repro.core.callbacks.IterationCallback` seam through a
-``multiprocessing.Queue`` via
+:class:`~repro.core.callbacks.IterationCallback` seam through each
+worker's result pipe via
 :class:`~repro.core.callbacks.QueueCallback`), and collected by an
 :class:`EventLog` which keeps them in memory and optionally appends
 them to a JSONL run log — the durable record a dashboard or a CI gate
@@ -15,7 +16,7 @@ tails.
 Event kinds
 -----------
 ``queued``      job accepted by the pool
-``started``     a worker (or the inline executor) began the job
+``started``     a worker began one attempt of the job
 ``loop_start``  the GP loop is about to run (from the worker)
 ``heartbeat``   periodic GP-iteration progress (from the worker)
 ``loop_stop``   the GP loop ended (from the worker)

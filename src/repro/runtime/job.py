@@ -17,8 +17,8 @@ of the parent is never inherited by workers — see
 event sink, and returns a :class:`JobResult` whose
 :class:`~repro.pipeline.context.FlowReport` carries a synthetic
 ``runtime`` stage with the kernel-launch totals, the seed and the
-worker pid.  The :class:`~repro.runtime.pool.WorkerPool` calls it from
-worker processes; :func:`repro.flow.run_job` calls it inline.
+worker pid.  Warm workers (:mod:`repro.service.warm`) call it for the
+batch pool and the daemon; :func:`repro.flow.run_job` calls it inline.
 """
 
 from __future__ import annotations
@@ -393,10 +393,9 @@ def execute_job(
 
     ``emit`` is an event sink (queue-like ``.put(dict)`` or callable)
     receiving the GP loop's ``loop_start``/``heartbeat``/``loop_stop``
-    messages; ``callbacks`` are extra iteration callbacks (the inline
-    pool passes its cooperative deadline watchdog here).  Exceptions
-    propagate to the caller — the worker wrapper and the inline pool
-    turn them into ``failed`` results/events.
+    messages; ``callbacks`` are extra iteration callbacks (warm workers
+    pass their cooperative stop watch here).  Exceptions propagate to
+    the caller — the warm worker turns them into ``failed`` results.
 
     ``checkpoint_dir`` is the pool's spill *root*: the GP loop spills
     checkpoints under a per-job subdirectory so a crash/timeout retry

@@ -1,58 +1,57 @@
-"""Process-based executor for placement jobs.
+"""The batch executor: a job list run to completion on warm workers.
 
-A :class:`WorkerPool` is the *executor* half of the runtime: job
-lifecycle (who runs next, states, cancellation, dedupe, retry queues)
-lives in the :class:`~repro.service.scheduler.Scheduler` core; the pool
-leases runnable entries from it and owns everything process-shaped —
-spawning one OS process per attempt (so a hung or crashed placement can
-always be killed without poisoning a long-lived worker), enforcing
-per-job wall-clock timeouts, deciding crash/timeout retries up to
-``job.retries`` / ``job.timeout_retries`` (separate budgets, jittered
-exponential backoff between attempts, and — when a ``checkpoint_dir``
-is armed — each retry resumes from the last spilled GP checkpoint),
-and streaming :class:`~repro.runtime.events.RuntimeEvent`\\ s —
-including the GP-loop heartbeats each worker bridges through a shared
-``multiprocessing.Queue`` via
-:class:`~repro.core.callbacks.QueueCallback`.  Cache short-circuiting
-goes through :meth:`Scheduler.cache_lookup` at dispatch time.
+A :class:`WorkerPool` is the *batch face* of the one executor the
+service layer owns.  Job lifecycle (who runs next, states,
+cancellation, retry queues) lives in the
+:class:`~repro.service.scheduler.Scheduler` core; the execution policy
+(dispatch, per-job wall-clock deadlines, crash/timeout retries up to
+``job.retries`` / ``job.timeout_retries`` with jittered exponential
+backoff and checkpoint resume, hang preemption, worker quarantine with
+canary probes) lives in :class:`~repro.service.lifecycle.Lifecycle`,
+the same loop the ``repro serve`` daemon runs; the transport is a
+:class:`~repro.service.warm.WarmPool`, whose workers keep designs
+resident and attach them through shared memory.  :meth:`WorkerPool.execute`
+spawns its workers when it starts, steps the lifecycle until its entries
+are terminal and shuts the workers down before it returns — no process
+outlives the call.
 
-Graceful degradation: with ``max_workers=1``, or on platforms where
-neither ``fork`` nor ``spawn`` contexts are available, the pool runs
-jobs sequentially **in-process**.  Inline mode keeps the same event
-stream and cache behaviour; timeouts are enforced *cooperatively* by a
-:class:`DeadlineCallback` raised from inside the GP loop (a stage that
-never yields to the iteration-callback seam cannot be preempted without
-a process boundary — that is the documented trade-off).
+Thread mode: with ``max_workers=1``, or on platforms where neither
+``fork`` nor ``spawn`` contexts are available, the job runs on a single
+worker *thread* of this process.  Deadlines are still enforced by the
+lifecycle's clock, but a thread cannot be killed: the stop is
+cooperative, raised from the GP loop's iteration-callback seam (a stage
+that never yields to that seam cannot be preempted without a process
+boundary — the documented trade-off).
 
-``stop_when`` turns the pool into a race: the first finalized result
+``stop_when`` turns the pool into a race: the first resolved result
 satisfying the predicate cancels every pending and running job (used by
 :func:`repro.runtime.race.race_seeds` in first-past-the-post mode).
 
 Graceful shutdown: during :meth:`WorkerPool.run` the pool traps
 SIGINT/SIGTERM (main thread only).  On a signal it stops dispatching,
-gives in-flight jobs ``drain_grace`` seconds to finish, terminates the
+gives in-flight jobs ``drain_grace`` seconds to finish, stops the
 stragglers, marks every undrained job ``interrupted`` (resumable from
 its spilled checkpoint when a ``checkpoint_dir`` is armed — a rerun
 with ``resume=True`` picks it up mid-run), flushes the JSONL event
-stream and returns — no orphaned worker processes.
+stream and returns.
 """
 
 from __future__ import annotations
 
 import contextlib
-import multiprocessing as mp
-import queue as queue_mod
-import random
 import signal
 import threading
 import time
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, List, Optional
 
-from repro.core.callbacks import IterationCallback
-from repro.pipeline import FlowReport
 from repro.runtime.events import EventLog
-from repro.runtime.job import JobResult, PlacementJob, execute_job
+from repro.runtime.job import JobResult, PlacementJob
+from repro.service.lifecycle import Lifecycle, backoff_delay
+from repro.service.scheduler import Scheduler, interrupted_result
+from repro.service.warm import JobInterruptedError, WarmPool, _resolve_context
+from repro.supervision.supervisor import SupervisionConfig, Supervisor
+
+__all__ = ["JobInterruptedError", "WorkerPool", "backoff_delay"]
 
 StopPredicate = Callable[[JobResult], bool]
 
@@ -60,161 +59,21 @@ StopPredicate = Callable[[JobResult], bool]
 _RACE_DECIDED = "race already decided"
 
 
-class JobTimeoutError(RuntimeError):
-    """Raised inside the GP loop when a cooperative deadline passes."""
-
-
-class JobInterruptedError(RuntimeError):
-    """Raised inside an inline GP loop when a shutdown signal arrived."""
-
-
-class JobCancelledError(RuntimeError):
-    """Raised inside an inline GP loop when its entry was cancelled."""
-
-
-class DeadlineCallback(IterationCallback):
-    """Aborts an in-process job when its wall-clock budget runs out.
-
-    Piggy-backs on ``on_iteration`` — the only seam an inline run
-    yields control through — so enforcement granularity is one GP
-    iteration.
-    """
-
-    def __init__(self, deadline: float, budget: float) -> None:
-        self.deadline = deadline
-        self.budget = budget
-
-    def _check(self) -> None:
-        if time.perf_counter() > self.deadline:
-            raise JobTimeoutError(
-                f"timeout after {self.budget:g}s (cooperative)"
-            )
-
-    def on_start(self, info) -> None:
-        self._check()
-
-    def on_iteration(self, record) -> None:
-        self._check()
-
-
-class _ShutdownCallback(IterationCallback):
-    """Aborts an inline job when the pool received a shutdown signal."""
-
-    def __init__(self, pool: "WorkerPool") -> None:
-        self._pool = pool
-
-    def _check(self) -> None:
-        if self._pool._shutdown:
-            raise JobInterruptedError("shutdown requested")
-
-    def on_start(self, info) -> None:
-        self._check()
-
-    def on_iteration(self, record) -> None:
-        self._check()
-
-
-class _CancelCallback(IterationCallback):
-    """Aborts an inline job when its scheduler entry is cancel-requested.
-
-    This is the cooperative half of :meth:`Scheduler.cancel` for inline
-    execution — process-mode cancels terminate the worker instead.
-    """
-
-    def __init__(self, entry: Any) -> None:
-        self._entry = entry
-
-    def _check(self) -> None:
-        if getattr(self._entry, "cancel_requested", False):
-            raise JobCancelledError("cancel requested")
-
-    def on_start(self, info) -> None:
-        self._check()
-
-    def on_iteration(self, record) -> None:
-        self._check()
-
-
-def _worker_entry(payload: Dict[str, Any], index: int, out_queue,
-                  heartbeat_every: int, checkpoint_dir: Optional[str] = None,
-                  resume: bool = False) -> None:
-    """Worker-process main: run one job, send events + a final result.
-
-    Every message on ``out_queue`` is a dict; loop progress uses the
-    :class:`QueueCallback` schema (``{"event": ..., "job_id": ...}``)
-    and the terminal message uses the reserved ``"_result"`` kind with
-    the job ``index`` so the parent can match it to its submission.
-    ``checkpoint_dir``/``resume`` thread the pool's recovery policy
-    through: a retried attempt resumes from the previous attempt's
-    spilled checkpoint instead of iteration 0.
-    """
-    # A worker forked while the parent's shutdown handlers were armed
-    # inherits them — and the parent's handler only flips a flag on the
-    # (now copied) pool object, so ``terminate()`` would never kill the
-    # child.  Workers must die on SIGTERM: restore the defaults.
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        with contextlib.suppress(ValueError, OSError):  # platform-dependent
-            signal.signal(sig, signal.SIG_DFL)
-    job = PlacementJob.from_dict(payload)
-    try:
-        result = execute_job(job, emit=out_queue.put,
-                             heartbeat_every=heartbeat_every,
-                             checkpoint_dir=checkpoint_dir,
-                             resume=resume, in_worker=True)
-    except Exception as err:  # noqa: BLE001 — every failure must surface
-        report = getattr(err, "flow_report", None)
-        out_queue.put({
-            "event": "_result",
-            "index": index,
-            "status": "failed",
-            "job_id": job.job_id,
-            "seed": job.effective_seed(),
-            "error": f"{type(err).__name__}: {err}",
-            "report": report.to_dict() if report is not None else None,
-        })
-    else:
-        out_queue.put({
-            "event": "_result",
-            "index": index,
-            "status": "done",
-            "job_id": job.job_id,
-            "result": result.to_dict(),
-            "x": result.x,
-            "y": result.y,
-        })
-
-
-@dataclass
-class _Active:
-    """Bookkeeping for one running worker process."""
-
-    index: int
-    entry: Any                    # the leased ScheduledJob
-    process: Any
-    attempt: int
-    started: float
-    deadline: Optional[float] = None
-
-    @property
-    def job(self) -> PlacementJob:
-        return self.entry.job
-
-
 class WorkerPool:
-    """Executes placement jobs across processes (or inline).
+    """Executes placement jobs on warm worker processes (or a thread).
 
     Parameters
     ----------
-    max_workers : parallel worker processes; ``1`` selects inline mode.
+    max_workers : parallel worker processes; ``1`` selects thread mode.
     start_method : ``"fork"`` / ``"spawn"`` / ``"forkserver"``; default
         prefers ``fork`` (cheap on Linux), falling back to ``spawn``,
-        falling back to inline execution when neither exists.
+        falling back to thread mode when neither exists.
     cache : optional :class:`ResultCache` consulted before dispatch and
         updated with every finished result (via the scheduler).
     heartbeat_every : GP iterations between heartbeat events.
     checkpoint_dir : spill root for GP-loop checkpoints; arms recovery
-        in every job and lets crash/timeout retries (and ``resume=True``
-        reruns) pick runs up from their last checkpoint.
+        in every job and lets crash/timeout/hang retries (and
+        ``resume=True`` reruns) pick runs up from their last checkpoint.
     resume : start even *first* attempts with ``resume`` semantics —
         the ``repro batch --resume`` path after a killed batch.
     retry_backoff : base seconds of the jittered exponential backoff
@@ -226,7 +85,7 @@ class WorkerPool:
         Every ``retry`` event carries the computed ``backoff`` and the
         ``attempt`` ordinal it gates.
     drain_grace : seconds in-flight jobs get to finish after a
-        SIGINT/SIGTERM before they are terminated and marked
+        SIGINT/SIGTERM before they are stopped and marked
         ``interrupted``.
     """
 
@@ -243,6 +102,7 @@ class WorkerPool:
         drain_grace: float = 5.0,
     ) -> None:
         self.max_workers = max(1, int(max_workers))
+        self.start_method = start_method
         self.cache = cache
         self.heartbeat_every = heartbeat_every
         self.checkpoint_dir = checkpoint_dir
@@ -255,13 +115,9 @@ class WorkerPool:
         if self.max_workers > 1:
             self._mp_context = _resolve_context(start_method)
 
-    def _backoff_delay(self, job_id: str, retry_number: int) -> float:
-        return backoff_delay(job_id, retry_number, self.retry_backoff,
-                             max_delay=self.retry_backoff_max)
-
     @property
     def inline(self) -> bool:
-        """True when jobs run sequentially in this process."""
+        """True when jobs run on one worker thread of this process."""
         return self._mp_context is None
 
     # -- shutdown signalling -----------------------------------------
@@ -299,13 +155,10 @@ class WorkerPool:
         stop_when: Optional[StopPredicate] = None,
     ) -> List[JobResult]:
         """Run all jobs; returns results in submission order."""
-        from repro.service.scheduler import Scheduler
-
         jobs = list(jobs)
         events = events if events is not None else EventLog()
         # Dedupe stays off for batch parity: a manifest that lists the
-        # same spec twice runs it twice (modulo the result cache),
-        # exactly as before the scheduler split.
+        # same spec twice runs it twice (modulo the result cache).
         scheduler = Scheduler(cache=self.cache, events=events, dedupe=False)
         entries = [scheduler.submit(job, resume=self.resume) for job in jobs]
         try:
@@ -331,339 +184,73 @@ class WorkerPool:
         events = events if events is not None else scheduler.events
         self._shutdown = False
         previous = self._install_signal_handlers()
+        workers = None
         try:
-            if self.inline:
-                self._run_inline(scheduler, entries, events, stop_when)
-            else:
-                self._run_processes(scheduler, entries, events, stop_when)
+            workers = WarmPool(
+                workers=1 if self.inline else self.max_workers,
+                start_method="thread" if self.inline else self.start_method,
+                heartbeat_every=self.heartbeat_every,
+                checkpoint_dir=self.checkpoint_dir,
+            )
+            supervisor = Supervisor(SupervisionConfig(),
+                                    on_event=events.emit)
+            if workers.store is not None:
+                workers.store_guard = supervisor.breakers["design-store"]
+            lifecycle = Lifecycle(
+                scheduler, workers, supervisor, events,
+                retry_backoff=self.retry_backoff,
+                retry_backoff_max=self.retry_backoff_max,
+                stop_when=stop_when,
+            )
+            while not all(entry.terminal for entry in entries):
+                if self._shutdown:
+                    self._drain(lifecycle, scheduler, events)
+                    break
+                lifecycle.step()
+                if lifecycle.halted:
+                    self._cut_race(lifecycle, scheduler)
+                    break
         finally:
+            if workers is not None:
+                workers.shutdown()
             self._restore_signal_handlers(previous)
         return [entry.result for entry in entries]
 
-    # -- inline (degraded) mode --------------------------------------
+    # -- race cut / shutdown drain ------------------------------------
 
-    def _run_inline(self, scheduler, entries, events: EventLog,
-                    stop_when: Optional[StopPredicate]) -> None:
-        while True:
-            if self._shutdown:
-                self._interrupt_pending(scheduler, events)
-                return
-            entry = scheduler.lease(timeout=0.0)
-            if entry is None:
-                return
-            hit = scheduler.cache_lookup(entry)
-            if hit is not None:
-                if _matches(stop_when, hit):
-                    self._cancel_pending(scheduler, events)
-                    return
-                continue
-            result = self._run_one_inline(entry, events)
-            scheduler.finish(entry, result)
-            if self._shutdown:
-                self._interrupt_pending(scheduler, events)
-                return
-            if _matches(stop_when, result):
-                self._cancel_pending(scheduler, events)
-                return
+    def _cut_race(self, lifecycle: Lifecycle, scheduler) -> None:
+        """A result satisfied ``stop_when``: cancel the running field
+        and everything still queued."""
+        now = time.perf_counter()
+        for active in lifecycle.release():
+            # The loser's partial runtime is what first-past-the-post
+            # *reclaimed* — the batch summary adds these up as saved
+            # core-seconds.
+            scheduler.mark_cancelled(active.entry, reason=_RACE_DECIDED,
+                                     seconds=now - active.started)
+        self._cancel_pending(scheduler)
 
-    def _run_one_inline(self, entry, events: EventLog) -> JobResult:
-        """One job in-process, with cooperative timeout retries.
+    def _drain(self, lifecycle: Lifecycle, scheduler,
+               events: EventLog) -> None:
+        """SIGINT/SIGTERM path: drain in-flight jobs for ``drain_grace``
+        seconds, stop the stragglers, mark everything undrained
+        ``interrupted`` (resumable when checkpoints are armed), flush
+        the event stream."""
+        deadline = time.perf_counter() + self.drain_grace
+        while lifecycle.active and time.perf_counter() < deadline:
+            lifecycle.step(dispatch=False)
+        resumable = self.checkpoint_dir is not None
+        now = time.perf_counter()
+        for active in lifecycle.release():
+            job = active.entry.job
+            events.emit("interrupted", job.job_id, ticket=active.entry.ticket,
+                        attempt=active.attempt, resumable=resumable)
+            scheduler.finish(active.entry, interrupted_result(
+                job, resumable, seconds=now - active.started,
+                attempts=active.attempt))
+        self._interrupt_pending(scheduler, events)
 
-        Crashes cannot be retried without a process boundary, but a
-        cooperative timeout can: each retry resumes from the last
-        spilled checkpoint (when a ``checkpoint_dir`` is armed), so the
-        budget buys *progress*, not repetition.
-        """
-        job = entry.job
-        attempt = entry.attempts - 1   # lease already counted attempt 1
-        while True:
-            attempt += 1
-            entry.attempts = attempt
-            events.emit("started", job.job_id, mode="inline",
-                        attempt=attempt)
-            watchdogs: List[IterationCallback] = [
-                _ShutdownCallback(self),
-                _CancelCallback(entry),
-            ]
-            if job.timeout is not None:
-                watchdogs.append(
-                    DeadlineCallback(time.perf_counter() + job.timeout,
-                                     job.timeout)
-                )
-            start = time.perf_counter()
-            try:
-                result = execute_job(
-                    job,
-                    emit=events.put,
-                    heartbeat_every=self.heartbeat_every,
-                    callbacks=watchdogs,
-                    checkpoint_dir=self.checkpoint_dir,
-                    resume=self.resume or entry.resume or attempt > 1,
-                )
-            except JobInterruptedError:
-                from repro.service.scheduler import interrupted_result
-
-                resumable = self.checkpoint_dir is not None
-                events.emit("interrupted", job.job_id, attempt=attempt,
-                            resumable=resumable)
-                result = interrupted_result(
-                    job, resumable,
-                    seconds=time.perf_counter() - start,
-                    attempts=attempt,
-                )
-                events.flush()
-                return result
-            except JobCancelledError:
-                from repro.service.scheduler import cancelled_result
-
-                events.emit("cancelled", job.job_id, attempt=attempt)
-                result = cancelled_result(
-                    job, "cancel requested",
-                    seconds=time.perf_counter() - start,
-                )
-                result.attempts = attempt
-                return result
-            except JobTimeoutError as err:
-                timeouts = attempt  # every inline retry is a timeout retry
-                if timeouts <= job.timeout_retries:
-                    backoff = self._backoff_delay(job.job_id, attempt)
-                    events.emit(
-                        "retry", job.job_id, reason="timeout",
-                        attempt=attempt + 1, timeouts=timeouts,
-                        backoff=round(backoff, 4),
-                        resume=self.checkpoint_dir is not None,
-                    )
-                    time.sleep(backoff)
-                    continue
-                message = (f"{err} — timeout budget exhausted "
-                           f"({timeouts} timeout(s), "
-                           f"{job.timeout_retries} retry(ies) allowed)")
-                events.emit("failed", job.job_id, reason="timeout",
-                            error=message, attempt=attempt,
-                            timeouts=timeouts, crashes=0)
-                result = _failure(job, "timeout", message, start,
-                                  getattr(err, "flow_report", None))
-            except Exception as err:  # noqa: BLE001 — surface, stay healthy
-                message = f"{type(err).__name__}: {err}"
-                events.emit("failed", job.job_id, reason="error",
-                            error=message, attempt=attempt)
-                result = _failure(job, "failed", message, start,
-                                  getattr(err, "flow_report", None))
-            else:
-                events.emit("finished", job.job_id, hpwl=result.hpwl,
-                            seconds=result.seconds, attempt=attempt,
-                            kernel_seconds=_kernel_seconds(result),
-                            **_cache_counters(self.cache))
-            result.attempts = attempt
-            return result
-
-    # -- multiprocess mode -------------------------------------------
-
-    def _run_processes(self, scheduler, entries, events: EventLog,
-                       stop_when: Optional[StopPredicate]) -> None:
-        ctx = self._mp_context
-        out_queue = ctx.Queue()
-        index_of = {entry.ticket: i for i, entry in enumerate(entries)}
-        active: Dict[int, _Active] = {}
-        received: Dict[int, Dict[str, Any]] = {}
-        crash_counts: Dict[int, int] = {}    # per-job crash retries used
-        timeout_counts: Dict[int, int] = {}  # per-job timeout kills
-        stopping = False
-
-        def launch(entry) -> None:
-            index = index_of[entry.ticket]
-            process = ctx.Process(
-                target=_worker_entry,
-                args=(entry.job.to_dict(), index, out_queue,
-                      self.heartbeat_every, self.checkpoint_dir,
-                      entry.resume),
-                daemon=True,
-            )
-            process.start()
-            now = time.perf_counter()
-            timeout = entry.job.timeout
-            active[index] = _Active(
-                index=index,
-                entry=entry,
-                process=process,
-                attempt=entry.attempts,
-                started=now,
-                deadline=(now + timeout) if timeout else None,
-            )
-            events.emit("started", entry.job.job_id, pid=process.pid,
-                        attempt=entry.attempts, resume=entry.resume)
-
-        def requeue(index: int, entry, reason: str) -> None:
-            """Schedule a retry with jittered exponential backoff."""
-            backoff = self._backoff_delay(entry.job.job_id, entry.attempts)
-            events.emit(
-                "retry", entry.job.job_id, reason=reason,
-                attempt=entry.attempts + 1,
-                backoff=round(backoff, 4),
-                resume=self.checkpoint_dir is not None,
-                crashes=crash_counts.get(index, 0),
-                timeouts=timeout_counts.get(index, 0),
-            )
-            scheduler.requeue(entry, delay=backoff, resume=True)
-
-        def drain(timeout: float = 0.0) -> None:
-            deadline = time.perf_counter() + timeout
-            while True:
-                try:
-                    message = out_queue.get(
-                        timeout=max(0.0, deadline - time.perf_counter())
-                        or 0.001
-                    )
-                except queue_mod.Empty:
-                    return
-                if message.get("event") == "_result":
-                    received[message["index"]] = message
-                else:
-                    events.put(message)
-                if time.perf_counter() >= deadline:
-                    return
-
-        def finalize(index: int, record: _Active,
-                     result: JobResult) -> None:
-            scheduler.finish(record.entry, result)
-            active.pop(index, None)
-            record.process.join(timeout=5)
-
-        while active or any(not e.terminal for e in entries):
-            if self._shutdown:
-                self._drain_and_interrupt(scheduler, entries, active,
-                                          received, events, drain)
-                return
-            while not stopping and len(active) < self.max_workers:
-                entry = scheduler.lease(timeout=0.0)
-                if entry is None:
-                    break
-                hit = (scheduler.cache_lookup(entry)
-                       if entry.attempts == 1 else None)
-                if hit is not None:
-                    if _matches(stop_when, hit):
-                        stopping = True
-                    continue
-                launch(entry)
-
-            # Sleep while anything is running *or* backing off — an
-            # all-deferred queue must not busy-spin the dispatch loop.
-            waiting = any(not e.terminal for e in entries)
-            drain(timeout=0.05 if (active or waiting) else 0.0)
-
-            now = time.perf_counter()
-            for index in list(active):
-                record = active[index]
-                entry = record.entry
-                job = record.job
-                if index in received:
-                    message = received.pop(index)
-                    result = self._assemble(job, message, record)
-                    if result.ok:
-                        events.emit("finished", job.job_id,
-                                    hpwl=result.hpwl,
-                                    seconds=result.seconds,
-                                    attempt=record.attempt,
-                                    kernel_seconds=_kernel_seconds(result),
-                                    **_cache_counters(self.cache))
-                    else:
-                        events.emit("failed", job.job_id, reason="error",
-                                    error=result.error,
-                                    attempt=record.attempt)
-                    finalize(index, record, result)
-                elif entry.cancel_requested:
-                    record.process.terminate()
-                    record.process.join(timeout=5)
-                    del active[index]
-                    scheduler.mark_cancelled(
-                        entry, reason="cancel requested",
-                        seconds=now - record.started,
-                    )
-                elif record.deadline is not None and now > record.deadline:
-                    record.process.terminate()
-                    record.process.join(timeout=5)
-                    del active[index]
-                    timeout_counts[index] = timeout_counts.get(index, 0) + 1
-                    if timeout_counts[index] <= job.timeout_retries:
-                        requeue(index, entry, "timeout")
-                    else:
-                        message = (
-                            f"timeout after {job.timeout:g}s (killed); "
-                            f"budget exhausted "
-                            f"({timeout_counts[index]} timeout(s), "
-                            f"{job.timeout_retries} retry(ies) allowed)"
-                        )
-                        events.emit(
-                            "failed", job.job_id, reason="timeout",
-                            error=message, attempt=record.attempt,
-                            crashes=crash_counts.get(index, 0),
-                            timeouts=timeout_counts[index],
-                        )
-                        scheduler.finish(entry, JobResult(
-                            job_id=job.job_id,
-                            status="timeout",
-                            seed=job.effective_seed(),
-                            seconds=now - record.started,
-                            error=message,
-                            attempts=record.attempt,
-                        ))
-                        record.process.join(timeout=5)
-                elif not record.process.is_alive():
-                    # The result may still be in the queue's buffer:
-                    # give it one generous drain before declaring death.
-                    drain(timeout=0.2)
-                    if index in received:
-                        continue  # handled on the next sweep
-                    exitcode = record.process.exitcode
-                    record.process.join(timeout=5)
-                    del active[index]
-                    crash_counts[index] = crash_counts.get(index, 0) + 1
-                    if crash_counts[index] <= job.retries:
-                        requeue(index, entry, "crash")
-                    else:
-                        message = (
-                            f"worker crashed (exitcode {exitcode}); "
-                            f"budget exhausted "
-                            f"({crash_counts[index]} crash(es), "
-                            f"{job.retries} retry(ies) allowed)"
-                        )
-                        events.emit(
-                            "failed", job.job_id, reason="crash",
-                            error=message, attempt=record.attempt,
-                            crashes=crash_counts[index],
-                            timeouts=timeout_counts.get(index, 0),
-                        )
-                        scheduler.finish(entry, JobResult(
-                            job_id=job.job_id,
-                            status="failed",
-                            seed=job.effective_seed(),
-                            seconds=now - record.started,
-                            error=message,
-                            attempts=record.attempt,
-                        ))
-                result_now = entry.result
-                if result_now is not None and _matches(stop_when, result_now):
-                    stopping = True
-
-            if stopping:
-                for index in list(active):
-                    record = active.pop(index)
-                    record.process.terminate()
-                    record.process.join(timeout=5)
-                    # The loser's partial runtime is what first-past-
-                    # the-post *reclaimed* — the batch summary adds
-                    # these up as saved core-seconds.
-                    scheduler.mark_cancelled(
-                        record.entry, reason=_RACE_DECIDED,
-                        seconds=time.perf_counter() - record.started,
-                    )
-                self._cancel_pending(scheduler, events)
-
-        drain(timeout=0.05)  # tail events (loop_stop racing the result)
-
-    # -- shutdown / cancellation helpers ------------------------------
-
-    def _cancel_pending(self, scheduler, events: EventLog) -> None:
+    def _cancel_pending(self, scheduler) -> None:
         """Cancel every still-queued entry (race decided / stop)."""
         for entry in scheduler.pending():
             if entry.state == "queued":
@@ -672,9 +259,8 @@ class WorkerPool:
                 scheduler.mark_cancelled(entry, reason=_RACE_DECIDED)
 
     def _interrupt_pending(self, scheduler, events: EventLog) -> None:
-        """Mark every unresolved entry interrupted (inline shutdown)."""
-        from repro.service.scheduler import interrupted_result
-
+        """Mark every unresolved entry interrupted (never dispatched,
+        or backing off before a retry)."""
         resumable = self.checkpoint_dir is not None
         for entry in scheduler.pending():
             events.emit("interrupted", entry.job.job_id,
@@ -682,158 +268,3 @@ class WorkerPool:
             scheduler.finish(entry, interrupted_result(
                 entry.job, resumable, attempts=entry.attempts))
         events.flush()
-
-    def _drain_and_interrupt(self, scheduler, entries, active, received,
-                             events: EventLog, drain) -> None:
-        """SIGINT/SIGTERM path: drain in-flight jobs for ``drain_grace``
-        seconds, terminate the stragglers, mark everything undrained
-        ``interrupted`` (resumable when checkpoints are armed), flush
-        the event stream."""
-        from repro.service.scheduler import interrupted_result
-
-        resumable = self.checkpoint_dir is not None
-        deadline = time.perf_counter() + self.drain_grace
-        while active and time.perf_counter() < deadline:
-            drain(timeout=0.05)
-            for index in list(active):
-                if index not in received:
-                    continue
-                record = active[index]
-                message = received.pop(index)
-                result = self._assemble(record.job, message, record)
-                if result.ok:
-                    events.emit("finished", record.job.job_id,
-                                hpwl=result.hpwl, seconds=result.seconds,
-                                attempt=record.attempt,
-                                kernel_seconds=_kernel_seconds(result),
-                                **_cache_counters(self.cache))
-                else:
-                    events.emit("failed", record.job.job_id,
-                                reason="error", error=result.error,
-                                attempt=record.attempt)
-                scheduler.finish(record.entry, result)
-                active.pop(index, None)
-                record.process.join(timeout=5)
-        for index in list(active):
-            record = active.pop(index)
-            record.process.terminate()
-            record.process.join(timeout=5)
-            events.emit("interrupted", record.job.job_id,
-                        attempt=record.attempt, resumable=resumable)
-            scheduler.finish(record.entry, interrupted_result(
-                record.job, resumable,
-                seconds=time.perf_counter() - record.started,
-                attempts=record.attempt,
-            ))
-        for entry in scheduler.pending():
-            events.emit("interrupted", entry.job.job_id,
-                        resumable=resumable, pending=True)
-            scheduler.finish(entry, interrupted_result(
-                entry.job, resumable, attempts=entry.attempts))
-        events.flush()
-
-    # -- helpers -----------------------------------------------------
-
-    def _assemble(self, job: PlacementJob, message: Dict[str, Any],
-                  record: _Active) -> JobResult:
-        """Rebuild a JobResult from a worker's terminal message."""
-        if message["status"] == "done":
-            result = JobResult.from_dict(message["result"])
-            result.x = message.get("x")
-            result.y = message.get("y")
-        else:
-            report = message.get("report")
-            result = JobResult(
-                job_id=message["job_id"],
-                status="failed",
-                seed=message.get("seed", job.effective_seed()),
-                seconds=time.perf_counter() - record.started,
-                error=message.get("error"),
-                report=FlowReport.from_dict(report) if report else None,
-            )
-        result.attempts = record.attempt
-        return result
-
-
-def backoff_delay(job_id: str, retry_number: int, base: float,
-                  max_delay: Optional[float] = None) -> float:
-    """Jittered exponential backoff before retry ``retry_number``.
-
-    Deterministic in (job, retry ordinal): reruns of the same batch
-    wait the same amounts, so chaos tests can assert on schedules.
-    Shared by the batch pool and the service daemon.
-
-    ``max_delay`` caps the result *after* jitter — without it the
-    exponential grows unboundedly (retry 20 of a flapping job would
-    wait days), which is exactly wrong for a job that only needs its
-    worker replaced.
-    """
-    scaled = base * (2 ** max(0, retry_number - 1))
-    jitter = random.Random(f"{job_id}:{retry_number}").uniform(0.0, 0.5)
-    delay = scaled * (1.0 + jitter)
-    if max_delay is not None:
-        delay = min(delay, float(max_delay))
-    return delay
-
-
-def _resolve_context(start_method: Optional[str]):
-    """A usable multiprocessing context, or None (→ inline mode)."""
-    methods = mp.get_all_start_methods()
-    if start_method is not None:
-        if start_method not in methods:
-            return None
-        return mp.get_context(start_method)
-    for method in ("fork", "spawn"):
-        if method in methods:
-            return mp.get_context(method)
-    return None
-
-
-def _matches(stop_when: Optional[StopPredicate],
-             result: JobResult) -> bool:
-    return stop_when is not None and bool(stop_when(result))
-
-
-def _kernel_seconds(result: JobResult) -> Optional[float]:
-    """Total in-kernel wall time from the job's runtime stage metrics.
-
-    ``None`` when the worker ran without a timed profiler (or the job
-    failed before producing a report) — the event payload stays honest
-    instead of reporting 0.0 for "not measured".
-    """
-    if result.report is None:
-        return None
-    for stage in result.report.stages:
-        if stage.name == "runtime":
-            value = stage.metrics.get("kernel_seconds_total")
-            return float(value) if value is not None else None
-    return None
-
-
-def _cache_counters(cache) -> Dict[str, int]:
-    """Cache hit/miss/eviction counters for ``finished`` events
-    (empty when the pool runs uncached — absent keys stay honest)."""
-    if cache is None:
-        return {}
-    return {
-        "cache_hits": cache.hits,
-        "cache_misses": cache.misses,
-        "cache_evictions": cache.evictions,
-    }
-
-
-def _failure(
-    job: PlacementJob,
-    status: str,
-    message: str,
-    start: float,
-    report: Optional[FlowReport],
-) -> JobResult:
-    return JobResult(
-        job_id=job.job_id,
-        status=status,
-        seed=job.effective_seed(),
-        seconds=time.perf_counter() - start,
-        error=message,
-        report=report,
-    )

@@ -11,8 +11,13 @@ service.  Three layers:
     retry requeueing with backoff gates, and dedupe — both against the
     content-addressed :class:`~repro.runtime.cache.ResultCache` and
     against identical in-flight submissions.
-    :class:`~repro.runtime.pool.WorkerPool` is one executor of this
-    core (the batch face); the daemon's warm pool is another.
+    The daemon and :class:`~repro.runtime.pool.WorkerPool` (the batch
+    face) both drive it through :mod:`repro.service.lifecycle`.
+
+:mod:`repro.service.lifecycle`
+    The one execution policy: dispatch onto warm workers, deadlines,
+    crash/timeout retries with backoff, hang preemption, worker
+    quarantine with canary probes — one ``step()`` per poll window.
 
 :mod:`repro.service.warm`
     Warm workers: persistent processes that keep loaded designs

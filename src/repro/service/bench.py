@@ -6,12 +6,12 @@ spawn + interpreter/numpy import (fork amortizes most of that) + design
 generation/parsing + CSR building on *every* job; a warm worker with
 the design resident pays only the task-message hop.
 
-``cold`` here reproduces the batch pool's cost model — a fresh
-single-worker :class:`~repro.service.warm.WarmPool` per job, so every
-submission spawns a process and loads the design.  ``warm`` submits the
-same stream of jobs to one persistent pool: the first job attaches the
-shared-memory design (reported separately as ``attach``), the rest find
-it resident.  Latency is measured submit → ``loop_start`` arrival at
+``cold`` is a fresh single-worker
+:class:`~repro.service.warm.WarmPool` per job, so every submission
+spawns a process and publishes and attaches its design.  ``warm``
+submits the same stream of jobs to one persistent pool: the first job
+attaches the shared-memory design (reported separately as ``attach``),
+the rest find it resident.  Latency is measured submit → ``loop_start`` arrival at
 the parent, the same observation point in both modes.
 
 Run it via ``repro bench --warm`` (writes ``BENCH_service.json``).

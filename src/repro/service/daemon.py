@@ -45,6 +45,11 @@ backlog (running jobs don't count) is at the cap gets HTTP 429 with a
 followers are exempt — they cost nothing to queue — as are the
 daemon's internal retries.
 
+Execution policy — dispatch, deadlines, retries, hang preemption and
+worker quarantine — is the :class:`~repro.service.lifecycle.Lifecycle`
+loop the batch pool runs too; the daemon steps it forever and adds the
+journal, the HTTP face, brownout, the breakers and the fault-plan seams.
+
 Supervision (see :mod:`repro.supervision`): a
 :class:`~repro.supervision.supervisor.Supervisor` watches the fleet —
 hung jobs (no heartbeat within the hang timeout while iterations
@@ -69,17 +74,15 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from repro.pipeline import FlowReport
 from repro.runtime.cache import ResultCache
 from repro.runtime.events import EventLog, RuntimeEvent
-from repro.runtime.job import JobResult, PlacementJob
-from repro.runtime.pool import backoff_delay
+from repro.runtime.job import PlacementJob
 from repro.service.journal import Journal, read_journal
+from repro.service.lifecycle import Lifecycle
 from repro.service.scheduler import QueueFull, ScheduledJob, Scheduler
 from repro.service.warm import WarmPool
 from repro.supervision.breakers import GuardedResultCache
@@ -121,18 +124,6 @@ class EventRouter(EventLog):
                 if remaining <= 0:
                     return []
                 self._stream_cond.wait(timeout=remaining)
-
-
-@dataclass
-class _ActiveJob:
-    """One ticket currently leased to a warm worker."""
-
-    entry: ScheduledJob
-    worker: int
-    started: float
-    deadline: Optional[float]
-    pid: Optional[int] = None
-    picked: bool = False
 
 
 class PlacementService:
@@ -198,6 +189,7 @@ class PlacementService:
         self.max_resident = max_resident
         self.started_ts = time.time()
         self.pool: Optional[WarmPool] = None
+        self.lifecycle: Optional[Lifecycle] = None
         self._journal_path = os.path.join(self.state_dir, "journal.jsonl")
         self.journal = Journal(
             self._journal_path,
@@ -209,10 +201,6 @@ class PlacementService:
         )
         self._journal_lock = threading.Lock()
         self._journaled_terminal: set = set()
-        self._active: Dict[str, _ActiveJob] = {}
-        self._crash_counts: Dict[str, int] = {}
-        self._timeout_counts: Dict[str, int] = {}
-        self._preempt_counts: Dict[str, int] = {}
         self._stop = threading.Event()
         self._loop_thread: Optional[threading.Thread] = None
         self.recovered: List[str] = []       # tickets resumed on start
@@ -295,6 +283,13 @@ class PlacementService:
             # Shared-memory publishes degrade to cold-attach when the
             # design-store breaker is open.
             self.pool.store_guard = self.supervisor.breakers["design-store"]
+        self.lifecycle = Lifecycle(
+            self.scheduler, self.pool, self.supervisor, self.events,
+            retry_backoff=self.retry_backoff,
+            retry_backoff_max=self.retry_backoff_max,
+            chaos_for=(self._dispatch_chaos
+                       if self.fault_plan is not None else None),
+        )
         self._loop_thread = threading.Thread(
             target=self._loop, daemon=True, name="placement-service-loop"
         )
@@ -421,359 +416,27 @@ class PlacementService:
     # -- the drive loop ------------------------------------------------
 
     def _loop(self) -> None:
-        pool = self.pool
         while not self._stop.is_set():
-            self._dispatch(pool)
-            for message in pool.poll(0.05):
-                self._handle_message(message)
-            self._police_active(pool)
+            self.lifecycle.step()
+            self._journal_terminals()
         # Graceful drain: kill running workers; their tickets stay
         # non-terminal in the journal, so the next start resumes them
         # from checkpoints.
-        for ticket, active in list(self._active.items()):
-            pool.kill_worker(active.worker, respawn=False)
+        for active in self.lifecycle.release():
             self.events.emit("interrupted", active.entry.job.job_id,
-                             ticket=ticket, resumable=True)
-        self._active.clear()
+                             ticket=active.entry.ticket,
+                             attempt=active.attempt, resumable=True)
 
-    def _dispatch(self, pool: WarmPool) -> None:
-        while pool.idle_workers():
-            entry = self.scheduler.lease(timeout=0.0)
-            if entry is None:
-                return
-            if entry.cancel_requested:
-                self.scheduler.mark_cancelled(entry)
-                self._journal_terminals()
-                continue
-            if entry.attempts == 1:
-                hit = self.scheduler.cache_lookup(entry)
-                if hit is not None:
-                    self._journal_terminals()
-                    continue
-            chaos = None
-            if self.fault_plan is not None:
-                chaos = self.fault_plan.dispatch_chaos(
-                    entry.job.job_id, entry.attempts)
-                if chaos is not None:
-                    self.events.emit("chaos", entry.job.job_id,
-                                     fault="crash-on-attach",
-                                     ticket=entry.ticket,
-                                     attempt=entry.attempts)
-            worker = pool.submit(entry.ticket, entry.job,
-                                 resume=entry.resume, chaos=chaos)
-            timeout = entry.job.timeout
-            now = time.perf_counter()
-            self._active[entry.ticket] = _ActiveJob(
-                entry=entry, worker=worker, started=now,
-                deadline=(now + timeout) if timeout else None,
-            )
-            self.supervisor.liveness.track(entry.ticket,
-                                           entry.job.job_id, worker)
-
-    def _handle_message(self, message: Dict[str, Any]) -> None:
-        kind = message.get("event")
-        if kind == "_picked":
-            ticket = message["ticket"]
-            self.supervisor.liveness.touch(ticket)
-            active = self._active.get(ticket)
-            if active is not None:
-                active.pid = message.get("pid")
-                active.picked = True
-                self.events.emit("started", message["job_id"],
-                                 pid=active.pid,
-                                 attempt=active.entry.attempts,
-                                 resume=active.entry.resume,
-                                 ticket=ticket)
-            return
-        if kind == "_result":
-            ticket = message.get("ticket")
-            if ticket is not None \
-                    and self.supervisor.canary_worker(ticket) is not None:
-                self._resolve_canary(ticket, message)
-                return
-            self._finish(message)
-            return
-        self.supervisor.liveness.observe(message)
-        self.events.put(message)         # loop_start / heartbeat / ...
-
-    def _finish(self, message: Dict[str, Any]) -> None:
-        ticket = message.get("ticket")
-        active = self._active.pop(ticket, None)
-        if ticket is not None:
-            self.supervisor.liveness.forget(ticket)
-        if active is None:
-            return                       # late result after kill/cancel
-        entry = active.entry
-        job = entry.job
-        elapsed = time.perf_counter() - active.started
-        status = message.get("status")
-        self._note_attach(active.worker, ticket, message)
-        # done / cancelled / failed all mean the worker itself worked;
-        # only crashes, timeouts and preemptions count against health.
-        self._note_worker(self.pool, active.worker, True)
-        if status == "done":
-            result = JobResult.from_dict(message["result"])
-            result.x = message.get("x")
-            result.y = message.get("y")
-            result.attempts = entry.attempts
-            preemptions = self._preempt_counts.pop(ticket, 0)
-            if preemptions and result.report is not None:
-                for stage in result.report.stages:
-                    if stage.name == "runtime":
-                        stage.metrics["preemptions"] = preemptions
-            self.events.emit("finished", job.job_id, hpwl=result.hpwl,
-                             seconds=result.seconds,
-                             attempt=entry.attempts,
-                             ticket=ticket, **{
-                                 "cache_hits": self.cache.hits,
-                                 "cache_misses": self.cache.misses,
-                                 "cache_evictions": self.cache.evictions,
-                             })
-            self.scheduler.finish(entry, result)
-        elif status == "cancelled":
-            self.scheduler.mark_cancelled(entry, seconds=elapsed)
-        else:
-            error = message.get("error", "worker failure")
-            crashes = self._crash_counts.get(ticket, 0)
-            self.events.emit("failed", job.job_id, reason="error",
-                             error=error, attempt=entry.attempts,
-                             ticket=ticket)
-            report = message.get("report")
-            self.scheduler.finish(entry, JobResult(
-                job_id=job.job_id, status="failed",
-                seed=message.get("seed", job.effective_seed()),
-                seconds=elapsed, error=error, attempts=entry.attempts,
-                report=FlowReport.from_dict(report) if report else None,
-            ))
-            self._crash_counts.pop(ticket, None)
-        self._journal_terminals()
-
-    # -- supervision helpers -------------------------------------------
-
-    def _note_worker(self, pool: WarmPool, worker: Optional[int],
-                     ok: bool) -> None:
-        """Fold one worker outcome into its health EWMA; quarantine on
-        flapping (two consecutive failures at the default alpha)."""
-        if worker is None:
-            return
-        if self.supervisor.note_outcome(worker, ok):
-            pool.quarantine(worker)
-            self.supervisor.begin_quarantine(worker)
-
-    def _note_attach(self, worker: Optional[int], ticket: str,
-                     message: Dict[str, Any]) -> None:
-        """Design-store breaker feedback: a cold load despite a shm
-        manifest means the worker failed to attach (unlinked segment).
-        """
-        sent = self.pool.consume_manifest_flag(ticket)
-        report = message.get("report") or (
-            message.get("result", {}) or {}).get("report")
-        warm = None
-        if isinstance(report, dict):
-            for stage in report.get("stages", []):
-                if stage.get("name") == "runtime":
-                    warm = stage.get("metrics", {}).get("warm")
-        breaker = self.supervisor.breakers["design-store"]
-        if sent and warm == "cold":
-            breaker.record_failure()
-        elif warm in ("attached", "resident"):
-            breaker.record_success()
-
-    def _preempt(self, pool: WarmPool, ticket: str) -> None:
-        """Kill a hung worker early and requeue with checkpoint resume
-        (or fail the job once the preemption budget is spent)."""
-        active = self._active.pop(ticket)
-        entry = active.entry
-        job = entry.job
-        snap = self.supervisor.liveness.snapshot().get(ticket, {})
-        idle = snap.get("idle_s")
-        iteration = snap.get("iteration", -1)
-        self.supervisor.liveness.forget(ticket)
-        pool.kill_worker(active.worker)
-        pool.consume_manifest_flag(ticket)
-        count = self._preempt_counts.get(ticket, 0) + 1
-        self._preempt_counts[ticket] = count
-        entry.preemptions = count
-        self.supervisor.note_preemption()
-        self.events.emit(
-            "preempted", job.job_id, ticket=ticket,
-            worker=active.worker, attempt=entry.attempts,
-            idle_s=round(idle, 3) if idle is not None else None,
-            iteration=iteration, preemptions=count,
-        )
-        self._note_worker(pool, active.worker, False)
-        if count <= self.supervision.preempt_retries:
-            self._retry(entry, "hung", ticket)
-        else:
-            message = (
-                f"worker hung (no progress for "
-                f"{self.supervision.hang_timeout:g}s); preemption "
-                f"budget exhausted ({count} preemption(s), "
-                f"{self.supervision.preempt_retries} retry(ies) allowed)"
-            )
-            self.events.emit("failed", job.job_id, reason="hung",
-                             error=message, attempt=entry.attempts,
-                             preemptions=count, ticket=ticket)
-            self.scheduler.finish(entry, JobResult(
-                job_id=job.job_id, status="failed",
-                seed=job.effective_seed(),
-                seconds=time.perf_counter() - active.started,
-                error=message, attempts=entry.attempts,
-            ))
-            self._preempt_counts.pop(ticket, None)
-            self._journal_terminals()
-
-    def _canary_job(self, worker: int) -> PlacementJob:
-        """A tiny deterministic probe job for a quarantined worker."""
-        return PlacementJob(
-            design="fft_1", cells=48, seed=1 + worker,
-            params={"max_iterations": 4, "min_iterations": 2},
-            tag="canary",
-        )
-
-    def _resolve_canary(self, ticket: str, message: Dict[str, Any],
-                        dead: bool = False) -> None:
-        """Judge a canary probe: restore the worker or replace it."""
-        worker = self.supervisor.canary_worker(ticket)
-        if worker is None:
-            return
-        self.pool.consume_manifest_flag(ticket)
-        healthy = (not dead) and message.get("status") == "done"
-        if healthy:
-            self.pool.unquarantine(worker)
-        else:
-            self.pool.kill_worker(worker, respawn=True)
-            self.pool.unquarantine(worker)
-        self.supervisor.end_quarantine(ticket, worker, healthy)
-
-    def _dispatch_probes(self, pool: WarmPool) -> None:
-        """Send canary probes to quarantined workers whose cool-down
-        elapsed.  A dead quarantined worker skips the probe and goes
-        straight to replacement."""
-        for worker in self.supervisor.probe_due():
-            if not pool.worker_alive(worker):
-                pool.kill_worker(worker, respawn=True)
-                pool.unquarantine(worker)
-                self.supervisor.end_quarantine(None, worker,
-                                               healthy=False)
-                continue
-            if pool.worker_busy(worker) is not None:
-                continue                 # probe next sweep
-            ordinal = self.supervisor.next_canary_ordinal()
-            ticket = f"canary:{worker}:{ordinal}"
-            self.supervisor.begin_probe(ticket, worker)
-            pool.submit(ticket, self._canary_job(worker),
-                        worker_id=worker)
-
-    def _police_active(self, pool: WarmPool) -> None:
-        """Cancellations, hangs, timeouts and crashed workers."""
-        now = time.perf_counter()
-        hung = {ledger.ticket
-                for ledger in self.supervisor.liveness.hung()}
-        for ticket in list(self._active):
-            active = self._active[ticket]
-            entry = active.entry
-            job = entry.job
-            if entry.cancel_requested:
-                del self._active[ticket]
-                self.supervisor.liveness.forget(ticket)
-                pool.kill_worker(active.worker)
-                pool.consume_manifest_flag(ticket)
-                self.scheduler.mark_cancelled(
-                    entry, seconds=now - active.started)
-                self._journal_terminals()
-            elif ticket in hung:
-                # A hung worker is preempted as soon as its heartbeat
-                # goes silent — strictly earlier than the wall-clock
-                # deadline would catch it.
-                self._preempt(pool, ticket)
-            elif active.deadline is not None and now > active.deadline:
-                del self._active[ticket]
-                self.supervisor.liveness.forget(ticket)
-                pool.kill_worker(active.worker)
-                pool.consume_manifest_flag(ticket)
-                self._note_worker(pool, active.worker, False)
-                count = self._timeout_counts.get(ticket, 0) + 1
-                self._timeout_counts[ticket] = count
-                if count <= job.timeout_retries:
-                    self._retry(entry, "timeout", ticket)
-                else:
-                    message = (
-                        f"timeout after {job.timeout:g}s (killed); "
-                        f"budget exhausted ({count} timeout(s), "
-                        f"{job.timeout_retries} retry(ies) allowed)"
-                    )
-                    self.events.emit(
-                        "failed", job.job_id, reason="timeout",
-                        error=message, attempt=entry.attempts,
-                        crashes=self._crash_counts.get(ticket, 0),
-                        timeouts=count, ticket=ticket,
-                    )
-                    self.scheduler.finish(entry, JobResult(
-                        job_id=job.job_id, status="timeout",
-                        seed=job.effective_seed(),
-                        seconds=now - active.started,
-                        error=message, attempts=entry.attempts,
-                    ))
-                    self._journal_terminals()
-            elif not pool.worker_alive(active.worker):
-                # Crashed worker: one generous drain for a result that
-                # beat the crash into the queue, then retry policy.
-                late = pool.poll(0.2)
-                for message in late:
-                    self._handle_message(message)
-                if ticket not in self._active:
-                    continue             # the drain finished it
-                del self._active[ticket]
-                self.supervisor.liveness.forget(ticket)
-                pool.consume_manifest_flag(ticket)
-                pool.respawn_dead()
-                self._note_worker(pool, active.worker, False)
-                count = self._crash_counts.get(ticket, 0) + 1
-                self._crash_counts[ticket] = count
-                if count <= job.retries:
-                    self._retry(entry, "crash", ticket)
-                else:
-                    message = (
-                        f"worker crashed; budget exhausted "
-                        f"({count} crash(es), "
-                        f"{job.retries} retry(ies) allowed)"
-                    )
-                    self.events.emit(
-                        "failed", job.job_id, reason="crash",
-                        error=message, attempt=entry.attempts,
-                        crashes=count,
-                        timeouts=self._timeout_counts.get(ticket, 0),
-                        ticket=ticket,
-                    )
-                    self.scheduler.finish(entry, JobResult(
-                        job_id=job.job_id, status="failed",
-                        seed=job.effective_seed(),
-                        seconds=now - active.started,
-                        error=message, attempts=entry.attempts,
-                    ))
-                    self._journal_terminals()
-        # Canary probes whose worker died mid-probe: replace outright.
-        canaries = self.supervisor.outstanding_canaries()
-        for ticket, worker in list(canaries.items()):
-            if not pool.worker_alive(worker):
-                self._resolve_canary(ticket, {}, dead=True)
-        self._dispatch_probes(pool)
-
-    def _retry(self, entry: ScheduledJob, reason: str,
-               ticket: str) -> None:
-        delay = backoff_delay(entry.job.job_id, entry.attempts,
-                              self.retry_backoff,
-                              max_delay=self.retry_backoff_max)
-        self.events.emit(
-            "retry", entry.job.job_id, reason=reason,
-            attempt=entry.attempts + 1, backoff=round(delay, 4),
-            max_backoff=self.retry_backoff_max, resume=True,
-            crashes=self._crash_counts.get(ticket, 0),
-            timeouts=self._timeout_counts.get(ticket, 0),
-            ticket=ticket,
-        )
-        self.scheduler.requeue(entry, delay=delay, resume=True)
+    def _dispatch_chaos(self, entry: ScheduledJob) -> Optional[dict]:
+        """The fault plan's dispatch seam (chaos harness): the injected
+        fault, if any, rides the task message to the worker."""
+        chaos = self.fault_plan.dispatch_chaos(entry.job.job_id,
+                                               entry.attempts)
+        if chaos is not None:
+            self.events.emit("chaos", entry.job.job_id,
+                             fault="crash-on-attach", ticket=entry.ticket,
+                             attempt=entry.attempts)
+        return chaos
 
 
 # -- HTTP layer --------------------------------------------------------

@@ -1,8 +1,8 @@
 """Warm workers: resident designs shared through POSIX shared memory.
 
-The batch pool pays the full job cost on every attempt: a fresh process
+A fresh process per job pays the full job cost on every attempt: it
 imports numpy, regenerates (or re-parses) the design, rebuilds the CSR
-indices, then places.  A service sees the *same* design over and over —
+indices, then places.  Executors see the *same* design over and over —
 parameter sweeps, seed races, repeated API submissions — so this module
 keeps workers alive between jobs and makes the design transfer free:
 
@@ -27,10 +27,14 @@ Netlist arrays are safe to share read-only: stages never mutate them
 (``freeze_cells`` copies before editing), and the attached views are
 marked non-writeable so a regression fails loudly.
 
-When no multiprocessing context is available the pool degrades to one
-thread per worker (cooperative cancellation, designs resident in a
-process-local store) — same API, reduced isolation, matching the batch
-pool's inline fallback.
+When no multiprocessing context is available (or the caller asks for
+``start_method="thread"``) the pool degrades to one thread per worker
+(cooperative cancellation, designs resident in a process-local store) —
+same API, reduced isolation.
+
+A process worker exits on its own once its parent dies: it checks the
+parent pid between jobs (a bounded task wait) and at every GP iteration
+of a running job, so a killed daemon or batch leaves no workers behind.
 """
 
 from __future__ import annotations
@@ -38,12 +42,13 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import multiprocessing as mp
 import os
-import queue as queue_mod
 import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from multiprocessing import connection as mp_connection
 from multiprocessing import resource_tracker, shared_memory
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -54,7 +59,27 @@ from repro.netlist import Netlist
 from repro.netlist.fence import FenceRegion
 from repro.netlist.region import PlacementRegion, Row
 from repro.runtime.job import PlacementJob, execute_job
-from repro.runtime.pool import JobInterruptedError, _resolve_context
+
+#: Seconds an idle process worker waits for a task before it checks
+#: whether its parent is still alive.
+ORPHAN_CHECK_SECONDS = 1.0
+
+
+class JobInterruptedError(RuntimeError):
+    """Raised inside a thread worker's GP loop when its job was stopped."""
+
+
+def _resolve_context(start_method: Optional[str]):
+    """A usable multiprocessing context, or None (→ thread workers)."""
+    methods = mp.get_all_start_methods()
+    if start_method is not None:
+        if start_method not in methods:
+            return None
+        return mp.get_context(start_method)
+    for method in ("fork", "spawn"):
+        if method in methods:
+            return mp.get_context(method)
+    return None
 
 #: Netlist array fields worth sharing (everything sized N, P or E).
 DESIGN_ARRAY_FIELDS = (
@@ -253,14 +278,26 @@ class DesignStore:
 
 # -- the worker loop ---------------------------------------------------
 
-class _CancelWatch(IterationCallback):
-    """Cooperative cancel for thread-mode workers."""
+def _exit_if_orphaned(parent_pid: Optional[int]) -> None:
+    """Hard-exit a process worker whose parent died: nobody is left
+    to send it work or read its results."""
+    if parent_pid is not None and os.getppid() != parent_pid:
+        os._exit(0)
 
-    def __init__(self, event: threading.Event) -> None:
+
+class _CancelWatch(IterationCallback):
+    """The running job's stop seam, checked at every GP iteration:
+    cooperative cancel for thread workers, parent death for process
+    workers."""
+
+    def __init__(self, event: Optional[threading.Event],
+                 parent_pid: Optional[int]) -> None:
         self._event = event
+        self._parent_pid = parent_pid
 
     def _check(self) -> None:
-        if self._event.is_set():
+        _exit_if_orphaned(self._parent_pid)
+        if self._event is not None and self._event.is_set():
             raise JobInterruptedError("cancel requested")
 
     def on_start(self, info) -> None:
@@ -270,27 +307,45 @@ class _CancelWatch(IterationCallback):
         self._check()
 
 
+def _orphan_sender(outbox):
+    """``send`` for a process worker's result pipe: a broken pipe means
+    the parent is gone, so the worker exits like an orphan."""
+    def send(message: Dict[str, Any]) -> None:
+        try:
+            outbox.send(message)
+        except OSError:
+            os._exit(0)
+    return send
+
+
 def _warm_worker_main(worker_id: int, tasks, out, heartbeat_every: int,
                       checkpoint_dir: Optional[str], max_resident: int,
                       cancel_event: Optional[threading.Event] = None) -> None:
     """Long-lived worker: lease messages, keep designs resident.
 
-    Task messages: ``{"kind": "job", "ticket", "job": <job dict>,
-    "resume": bool, "manifest": <design manifest or None>}`` or
+    Task messages: ``{"kind": "job", "ticket", "attempt", "job": <job
+    dict>, "resume": bool, "manifest": <design manifest or None>}`` or
     ``{"kind": "stop"}``.  Every job answers with a ``"_picked"``
     announcement (so the parent can target kills) and a terminal
-    ``"_result"`` message keyed by ticket.
+    ``"_result"`` message, both keyed by ticket and attempt.  ``tasks``
+    and ``out`` are the worker's own pipe ends.
     """
-    if cancel_event is None:
-        # Process mode: a worker forked while the daemon's shutdown
-        # handlers were armed (e.g. a respawn mid-serve) inherits them,
-        # which would make ``terminate()`` a no-op and, worse, run the
-        # daemon's shutdown logic inside the worker.  Restore defaults.
+    parent_pid = None
+    if cancel_event is not None:
+        send = out.send
+    else:
+        # Process mode: a worker forked while the parent's shutdown
+        # handlers were armed inherits them, which would make
+        # ``terminate()`` a no-op and, worse, run the parent's shutdown
+        # logic inside the worker.  Restore defaults.
         import signal
 
         for sig in (signal.SIGINT, signal.SIGTERM):
             with contextlib.suppress(ValueError, OSError):  # platform-dependent
                 signal.signal(sig, signal.SIG_DFL)
+        parent_pid = os.getppid()
+        send = _orphan_sender(out)
+    watch = [_CancelWatch(cancel_event, parent_pid)]
     resident: "OrderedDict[str, Tuple[Netlist, list]]" = OrderedDict()
 
     def evict_to(limit: int) -> None:
@@ -301,16 +356,22 @@ def _warm_worker_main(worker_id: int, tasks, out, heartbeat_every: int,
 
     try:
         while True:
-            message = tasks.get()
-            if message is None or message.get("kind") == "stop":
+            if not tasks.poll(ORPHAN_CHECK_SECONDS):
+                _exit_if_orphaned(parent_pid)
+                continue
+            try:
+                message = tasks.recv()
+            except EOFError:             # the pool closed its end
+                message = {"kind": "stop"}
+            if message.get("kind") == "stop":
                 break
             job = PlacementJob.from_dict(message["job"])
-            ticket = message["ticket"]
+            reply = {"ticket": message["ticket"],
+                     "attempt": message.get("attempt"),
+                     "worker": worker_id, "job_id": job.job_id}
             if cancel_event is not None:
                 cancel_event.clear()
-            out.put({"event": "_picked", "ticket": ticket,
-                     "worker": worker_id, "pid": os.getpid(),
-                     "job_id": job.job_id})
+            send({"event": "_picked", "pid": os.getpid(), **reply})
             chaos = message.get("chaos") or {}
             if chaos.get("crash_on_attach") and cancel_event is None:
                 # Injected repeated crash-on-pickup (chaos harness):
@@ -341,14 +402,12 @@ def _warm_worker_main(worker_id: int, tasks, out, heartbeat_every: int,
                     resident[key] = (netlist, [])
                 evict_to(max_resident)
             load_seconds = time.perf_counter() - load_started
-            callbacks = ([_CancelWatch(cancel_event)]
-                         if cancel_event is not None else None)
             try:
                 result = execute_job(
                     job,
-                    emit=out.put,
+                    emit=send,
                     heartbeat_every=heartbeat_every,
-                    callbacks=callbacks,
+                    callbacks=watch,
                     checkpoint_dir=checkpoint_dir,
                     resume=bool(message.get("resume")),
                     in_worker=cancel_event is None,
@@ -360,27 +419,24 @@ def _warm_worker_main(worker_id: int, tasks, out, heartbeat_every: int,
                     },
                 )
             except JobInterruptedError:
-                out.put({"event": "_result", "ticket": ticket,
-                         "worker": worker_id, "status": "cancelled",
-                         "job_id": job.job_id,
-                         "seed": job.effective_seed()})
+                send({"event": "_result", "status": "cancelled",
+                      "seed": job.effective_seed(), **reply})
             except Exception as err:  # noqa: BLE001 — worker must answer
                 report = getattr(err, "flow_report", None)
-                out.put({"event": "_result", "ticket": ticket,
-                         "worker": worker_id, "status": "failed",
-                         "job_id": job.job_id,
-                         "seed": job.effective_seed(),
-                         "error": f"{type(err).__name__}: {err}",
-                         "report": (report.to_dict()
-                                    if report is not None else None)})
+                send({"event": "_result", "status": "failed",
+                      "seed": job.effective_seed(),
+                      "error": f"{type(err).__name__}: {err}",
+                      "report": (report.to_dict()
+                                 if report is not None else None),
+                      **reply})
             else:
-                out.put({"event": "_result", "ticket": ticket,
-                         "worker": worker_id, "status": "done",
-                         "job_id": job.job_id,
-                         "result": result.to_dict(),
-                         "x": result.x, "y": result.y})
+                send({"event": "_result", "status": "done",
+                      "result": result.to_dict(),
+                      "x": result.x, "y": result.y, **reply})
     finally:
         evict_to(0)
+        tasks.close()
+        out.close()
 
 
 # -- the pool ----------------------------------------------------------
@@ -389,21 +445,29 @@ def _warm_worker_main(worker_id: int, tasks, out, heartbeat_every: int,
 class _WorkerHandle:
     worker_id: int
     runner: Any                       # Process or Thread
-    tasks: Any                        # its task queue
+    tasks: Any                        # task pipe (write end)
+    inbox: Any                        # result pipe (read end)
     cancel_event: Optional[threading.Event] = None
     busy: Optional[str] = None        # ticket currently assigned
+    attempt: Optional[int] = None     # ... and which attempt of it
     seen_keys: set = field(default_factory=set)
 
 
 class WarmPool:
     """A fixed fleet of warm workers plus the shared design store.
 
-    Unlike :class:`~repro.runtime.pool.WorkerPool` (one process per
-    *attempt*, full lifecycle policy inside), this pool is a dumb
-    transport: the daemon owns scheduling, retries, timeouts and event
-    routing, and drives the pool through :meth:`submit` / :meth:`poll`
-    / :meth:`kill_worker`.  Messages from workers come back raw —
-    ``_picked`` / QueueCallback loop events / ``_result``.
+    This pool is a dumb transport: the
+    :class:`~repro.service.lifecycle.Lifecycle` loop (run by the daemon
+    and by :class:`~repro.runtime.pool.WorkerPool`) owns scheduling,
+    retries, timeouts and event routing, and drives the pool through
+    :meth:`submit` / :meth:`poll` / :meth:`kill_worker`.  Messages from
+    workers come back raw — ``_picked`` / QueueCallback loop events /
+    ``_result``.
+
+    ``start_method`` is ``"fork"`` / ``"spawn"`` / ``"forkserver"``;
+    the default prefers ``fork`` and falls back to ``spawn``.  A name
+    the platform lacks (``"thread"`` by convention) selects thread
+    workers.
     """
 
     def __init__(
@@ -419,7 +483,6 @@ class WarmPool:
         self.max_resident = max(1, int(max_resident))
         self._ctx = _resolve_context(start_method)
         self.inline = self._ctx is None
-        self._out = queue_mod.Queue() if self.inline else self._ctx.Queue()
         # Shared designs only make sense across process boundaries; the
         # thread fallback shares the worker-resident dicts natively.
         self.store = None if self.inline else DesignStore(self.max_resident)
@@ -438,6 +501,12 @@ class WarmPool:
         # /stats.  Handle *fields* (busy, seen_keys) stay loop-owned.
         self._lock = threading.Lock()
         self._workers: Dict[int, _WorkerHandle] = {}
+        # Workers start on their first job, after its design is
+        # published: a parent that loads a design right after forking
+        # takes a copy-on-write fault on every page it touches that its
+        # fresh children still share, while children forked afterwards
+        # share the already-written pages for free.
+        self._unstarted = set(range(max(1, int(workers))))
         self._quarantined: set = set()
         self._manifest_sent: Dict[str, bool] = {}
         # Optional CircuitBreaker guarding shared-memory publishes
@@ -445,50 +514,62 @@ class WarmPool:
         # skip the manifest and workers cold-load — the cold-attach
         # degraded mode.
         self.store_guard = None
-        for worker_id in range(max(1, int(workers))):
-            self._spawn(worker_id)
 
     # -- worker management -------------------------------------------
 
     def _spawn(self, worker_id: int) -> _WorkerHandle:
+        # Every worker talks over two pipes of its own.  A worker killed
+        # mid-message (a crash, a deadline kill) can only break its own
+        # channel — a shared queue would stay write-locked for every
+        # other worker — and sends need no feeder thread, so a task
+        # reaches its worker before the next one is even built.
+        task_end, tasks = mp_connection.Pipe(duplex=False)
+        inbox, out_end = mp_connection.Pipe(duplex=False)
         if self.inline:
-            tasks: Any = queue_mod.Queue()
-            cancel = threading.Event()
+            cancel: Optional[threading.Event] = threading.Event()
             runner: Any = threading.Thread(
                 target=_warm_worker_main,
-                args=(worker_id, tasks, self._out, self.heartbeat_every,
+                args=(worker_id, task_end, out_end, self.heartbeat_every,
                       self.checkpoint_dir, self.max_resident, cancel),
                 daemon=True,
                 name=f"warm-worker-{worker_id}",
             )
         else:
-            tasks = self._ctx.Queue()
             cancel = None
             runner = self._ctx.Process(
                 target=_warm_worker_main,
-                args=(worker_id, tasks, self._out, self.heartbeat_every,
+                args=(worker_id, task_end, out_end, self.heartbeat_every,
                       self.checkpoint_dir, self.max_resident),
                 daemon=True,
             )
         runner.start()
+        if not self.inline:
+            # The worker holds the only copies of its ends: its death
+            # reads as EOF here, the parent's as a broken pipe there.
+            task_end.close()
+            out_end.close()
         handle = _WorkerHandle(worker_id=worker_id, runner=runner,
-                               tasks=tasks, cancel_event=cancel)
+                               tasks=tasks, inbox=inbox,
+                               cancel_event=cancel)
         with self._lock:
             self._workers[worker_id] = handle
+            self._unstarted.discard(worker_id)
         return handle
 
     @property
     def workers(self) -> List[int]:
         with self._lock:
-            return sorted(self._workers)
+            return sorted(set(self._workers) | self._unstarted)
 
     def idle_workers(self) -> List[int]:
+        """Workers that can take a job now (not yet started ones too)."""
         with self._lock:
-            handles = sorted(self._workers.items())
+            handles = list(self._workers.items())
+            unstarted = set(self._unstarted)
             quarantined = set(self._quarantined)
-        return [wid for wid, h in handles
-                if h.busy is None and h.runner.is_alive()
-                and wid not in quarantined]
+        idle = unstarted | {wid for wid, h in handles
+                            if h.busy is None and h.runner.is_alive()}
+        return sorted(idle - quarantined)
 
     # -- quarantine ---------------------------------------------------
     # Quarantined workers stay alive (their resident designs may be
@@ -509,6 +590,7 @@ class WarmPool:
             return sorted(self._quarantined)
 
     def worker_alive(self, worker_id: int) -> bool:
+        """Whether the worker was started and still runs."""
         with self._lock:
             handle = self._workers.get(worker_id)
         return bool(handle) and handle.runner.is_alive()
@@ -532,13 +614,16 @@ class WarmPool:
     def submit(self, ticket: str, job: PlacementJob,
                resume: bool = False,
                worker_id: Optional[int] = None,
-               chaos: Optional[Dict[str, Any]] = None) -> int:
+               chaos: Optional[Dict[str, Any]] = None,
+               attempt: Optional[int] = None) -> int:
         """Hand one job to a worker; returns the worker id.
 
         Prefers an idle worker that already has the design resident
         (warm dispatch); the caller must keep submissions ≤ idle
         workers — an over-submit queues behind the busy worker.
-        ``chaos`` rides the task message untouched (fault harness).
+        ``chaos`` rides the task message untouched (fault harness);
+        ``attempt`` is echoed in the worker's ``_picked`` / ``_result``
+        so a late message of an earlier attempt can be told apart.
         """
         key = design_key(job)
         if worker_id is None:
@@ -546,13 +631,14 @@ class WarmPool:
             if not idle:
                 idle = self.workers
             with self._lock:
-                warm = [wid for wid in idle
-                        if key in self._workers[wid].seen_keys]
+                warm = [wid for wid in idle if wid in self._workers
+                        and key in self._workers[wid].seen_keys]
             worker_id = (warm or idle)[0]
         with self._lock:
-            handle = self._workers[worker_id]
+            handle = self._workers.get(worker_id)
         manifest = None
-        if self.store is not None and key not in handle.seen_keys:
+        if self.store is not None and (handle is None
+                                       or key not in handle.seen_keys):
             guard = self.store_guard
             if guard is None or guard.allow():
                 try:
@@ -564,13 +650,20 @@ class WarmPool:
                     if guard is not None:
                         guard.record_failure()
                     manifest = None
+        if handle is None:
+            handle = self._spawn(worker_id)
         handle.seen_keys.add(key)
         handle.busy = ticket
+        handle.attempt = attempt
         with self._lock:
             self._manifest_sent[ticket] = manifest is not None
-        handle.tasks.put({"kind": "job", "ticket": ticket,
-                          "job": job.to_dict(), "resume": bool(resume),
-                          "manifest": manifest, "chaos": chaos})
+        # A worker that died since it was picked breaks the pipe; the
+        # lifecycle's police finds it dead and replaces it.
+        with contextlib.suppress(OSError):
+            handle.tasks.send({"kind": "job", "ticket": ticket,
+                               "attempt": attempt, "job": job.to_dict(),
+                               "resume": bool(resume), "manifest": manifest,
+                               "chaos": chaos})
         return worker_id
 
     def consume_manifest_flag(self, ticket: str) -> bool:
@@ -582,27 +675,41 @@ class WarmPool:
             return self._manifest_sent.pop(ticket, False)
 
     def poll(self, timeout: float = 0.05) -> List[Dict[str, Any]]:
-        """Drain worker messages (at most ``timeout`` seconds of wait).
+        """Worker messages: waits up to ``timeout`` seconds for the
+        first, then takes whatever else is already queued.
 
-        ``_result`` messages free their worker for the next submit.
+        A ``_result`` of the attempt a worker is running frees that
+        worker for the next submit.
         """
+        messages = self._read_pipes(timeout)
+        for message in messages:
+            if message.get("event") != "_result":
+                continue
+            with self._lock:
+                handle = self._workers.get(message.get("worker"))
+            if handle is not None \
+                    and handle.busy == message.get("ticket") \
+                    and handle.attempt == message.get("attempt"):
+                handle.busy = None
+        return messages
+
+    def _read_pipes(self, timeout: float) -> List[Dict[str, Any]]:
+        with self._lock:
+            owners = {handle.inbox: handle
+                      for handle in self._workers.values()
+                      if not handle.inbox.closed}
         messages: List[Dict[str, Any]] = []
-        deadline = time.perf_counter() + max(0.0, timeout)
-        while True:
-            remaining = deadline - time.perf_counter()
-            try:
-                message = self._out.get(timeout=max(0.001, remaining))
-            except queue_mod.Empty:
-                return messages  # nothing more within the poll window
-            messages.append(message)
-            if message.get("event") == "_result":
-                worker_id = message.get("worker")
-                with self._lock:
-                    handle = self._workers.get(worker_id)
-                if handle is not None and handle.busy == message.get("ticket"):
-                    handle.busy = None
-            if time.perf_counter() >= deadline:
-                break
+        ready = mp_connection.wait(list(owners), max(0.0, timeout))
+        while ready:
+            for inbox in ready:
+                try:
+                    messages.append(inbox.recv())
+                except (EOFError, OSError):
+                    # The worker died, possibly mid-message: its pipe
+                    # is done; the lifecycle's police sees the death.
+                    inbox.close()
+                    del owners[inbox]
+            ready = mp_connection.wait(list(owners), 0)
         return messages
 
     def kill_worker(self, worker_id: int, respawn: bool = True) -> None:
@@ -610,11 +717,17 @@ class WarmPool:
 
         Process mode terminates the worker (its resident designs die
         with it); thread mode requests cooperative cancellation and
-        keeps the thread (threads cannot be killed).
+        keeps the thread (threads cannot be killed).  A worker that
+        never started is started (``respawn``) or dropped.
         """
         with self._lock:
             handle = self._workers.get(worker_id)
+            unstarted = worker_id in self._unstarted
+            if not respawn:
+                self._unstarted.discard(worker_id)
         if handle is None:
+            if unstarted and respawn:
+                self._spawn(worker_id)
             return
         if self.inline:
             if handle.cancel_event is not None:
@@ -625,23 +738,17 @@ class WarmPool:
         handle.runner.join(timeout=5)
         with self._lock:
             self._workers.pop(worker_id, None)
+        handle.tasks.close()
+        handle.inbox.close()
         if respawn:
             self._spawn(worker_id)
 
-    def respawn_dead(self) -> List[int]:
-        """Replace crashed workers; returns the respawned ids."""
-        respawned = []
+    def exitcode(self, worker_id: int) -> Optional[int]:
+        """A dead process worker's exit code (``None`` while it runs,
+        and always for thread workers)."""
         with self._lock:
-            handles = list(self._workers.items())
-        for worker_id, handle in handles:
-            if not handle.runner.is_alive():
-                if not self.inline:
-                    handle.runner.join(timeout=1)
-                with self._lock:
-                    self._workers.pop(worker_id, None)
-                self._spawn(worker_id)
-                respawned.append(worker_id)
-        return respawned
+            handle = self._workers.get(worker_id)
+        return getattr(handle.runner, "exitcode", None) if handle else None
 
     # -- lifecycle ----------------------------------------------------
 
@@ -649,14 +756,17 @@ class WarmPool:
         with self._lock:
             handles = list(self._workers.values())
         for handle in handles:
-            with contextlib.suppress(Exception):  # queue may already be gone
-                handle.tasks.put({"kind": "stop"})
+            with contextlib.suppress(OSError):  # the worker may be gone
+                handle.tasks.send({"kind": "stop"})
         for handle in handles:
             handle.runner.join(timeout=timeout)
             if not self.inline and handle.runner.is_alive():
                 handle.runner.terminate()
                 handle.runner.join(timeout=1)
+            handle.tasks.close()
+            handle.inbox.close()
         with self._lock:
             self._workers.clear()
+            self._unstarted.clear()
         if self.store is not None:
             self.store.close()

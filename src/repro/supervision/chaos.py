@@ -44,8 +44,8 @@ from repro.faults.service import (
     ServiceFaultPlan,
 )
 from repro.runtime.job import PlacementJob
-from repro.runtime.pool import _resolve_context
 from repro.service.journal import read_journal
+from repro.service.warm import _resolve_context
 from repro.supervision.brownout import BrownoutShed
 from repro.supervision.supervisor import SupervisionConfig
 
@@ -427,8 +427,8 @@ def _drill_quarantine(service, config, report, deadline) -> None:
     outcome so the fingerprint stays seed-deterministic.)"""
     supervisor = service.supervisor
     before = supervisor.counters()
-    service._note_worker(service.pool, 0, False)
-    service._note_worker(service.pool, 0, False)
+    service.lifecycle.note_worker(0, False)
+    service.lifecycle.note_worker(0, False)
     if 0 not in supervisor.quarantined_workers():
         report.violations.append("flap drill did not quarantine worker 0")
         return

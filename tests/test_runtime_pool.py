@@ -15,6 +15,7 @@ from repro.runtime import (
     ResultCache,
     WorkerPool,
 )
+from repro.runtime.pool import backoff_delay
 
 FAKE = "tests.runtime_helpers:fake_pipeline"
 SLEEPY = "tests.runtime_helpers:sleepy_pipeline"
@@ -70,7 +71,7 @@ class TestInlinePool:
 
     def test_cooperative_timeout(self):
         # A real GP loop that cannot converge, with a tiny budget: the
-        # DeadlineCallback must abort it from inside the iteration seam.
+        # thread worker must be stopped from inside the iteration seam.
         log = EventLog()
         hog = PlacementJob(
             design="fft_1",
@@ -188,41 +189,16 @@ class TestProcessPool:
         assert hit.hpwl == inline.hpwl
 
 
-class TestDeadlineCallback:
-    def test_within_budget_is_quiet(self):
-        from repro.runtime import DeadlineCallback
-
-        cb = DeadlineCallback(time.perf_counter() + 60.0, 60.0)
-        cb.on_start(None)
-        cb.on_iteration(None)  # must not raise
-
-    def test_expired_deadline_raises_on_iteration(self):
-        from repro.runtime import DeadlineCallback, JobTimeoutError
-
-        cb = DeadlineCallback(time.perf_counter() - 0.01, 0.25)
-        with pytest.raises(JobTimeoutError, match="0.25"):
-            cb.on_iteration(None)
-
-    def test_expired_deadline_raises_on_start(self):
-        from repro.runtime import DeadlineCallback, JobTimeoutError
-
-        cb = DeadlineCallback(time.perf_counter() - 0.01, 0.25)
-        with pytest.raises(JobTimeoutError):
-            cb.on_start(None)
-
-
 class TestRetryBackoff:
     def test_backoff_is_deterministic_per_job_and_attempt(self):
-        pool = WorkerPool(retry_backoff=0.25)
-        first = pool._backoff_delay("job-a", 1)
-        assert first == pool._backoff_delay("job-a", 1)
-        assert first != pool._backoff_delay("job-b", 1)
+        first = backoff_delay("job-a", 1, 0.25)
+        assert first == backoff_delay("job-a", 1, 0.25)
+        assert first != backoff_delay("job-b", 1, 0.25)
 
     def test_backoff_grows_exponentially_with_bounded_jitter(self):
-        pool = WorkerPool(retry_backoff=0.25)
         for n in (1, 2, 3):
             base = 0.25 * 2 ** (n - 1)
-            delay = pool._backoff_delay("j", n)
+            delay = backoff_delay("j", n, 0.25)
             assert base <= delay <= base * 1.5
 
     def test_crash_retry_event_carries_backoff_and_reason(self):
@@ -450,3 +426,192 @@ class TestGracefulShutdown:
                    if e.payload["action"] == "resumed"]
         assert len(resumed) == 1
         assert resumed[0].payload["snapshot_iteration"] > 0
+
+
+class TestStaleAttempts:
+    def test_late_result_of_a_timed_out_attempt_is_dropped(self):
+        """With no backoff, attempt 2 reaches the worker thread before
+        attempt 1 has answered; attempt 1's late cancelled result must
+        not resolve attempt 2."""
+        log = EventLog()
+        hog = PlacementJob(
+            design="fft_1", cells=250, seed=1,
+            params={"max_iterations": 100000, "min_iterations": 20,
+                    "stop_overflow": 1e-9},
+            timeout=0.3, timeout_retries=1,
+        )
+        results = WorkerPool(max_workers=1, retry_backoff=0.0).run(
+            [hog], events=log)
+        assert results[0].status == "timeout"
+        assert results[0].attempts == 2
+        assert log.count("started") == 2
+        assert log.count("cancelled") == 0
+
+
+def _supervision(**overrides):
+    """A SupervisionConfig factory the pool module can call with no
+    arguments, with some defaults replaced."""
+    import functools
+
+    from repro.supervision.supervisor import SupervisionConfig
+
+    return functools.partial(SupervisionConfig, **overrides)
+
+
+class TestSupervisedBatch:
+    """Batch runs inherit the daemon's supervision: quarantine with
+    canary probes, hang preemption with checkpoint resume."""
+
+    def test_flapping_worker_quarantined_and_probed(self, monkeypatch):
+        import repro.runtime.pool as pool_module
+
+        monkeypatch.setattr(pool_module, "SupervisionConfig",
+                            _supervision(canary_delay=0.0))
+        log = EventLog()
+        # The killer's design is one no worker has resident, so its
+        # immediate retry lands on the replacement of the worker it
+        # killed: that worker fails twice in a row.
+        killer = make_job(seed=1, cells=100, pipeline=KILLER, retries=1)
+        real = [make_job(seed=s, pipeline=None,
+                         params={"max_iterations": 60, "min_iterations": 20})
+                for s in (2, 3, 4, 5)]
+        results = WorkerPool(max_workers=2, retry_backoff=0.0).run(
+            [killer] + real, events=log)
+        assert results[0].status == "failed"
+        assert results[0].attempts == 2
+        assert "exitcode" in results[0].error
+        assert [r.status for r in results[1:]] == ["done"] * 4
+        actions = [(e.payload["action"], e.payload["worker"])
+                   for e in log.of_kind("quarantine")]
+        assert ("enter", 0) in actions
+        assert ("probe", 0) in actions
+        assert ("restore", 0) in actions or ("replace", 0) in actions
+
+    def test_hung_job_preempted_then_resumes(self, monkeypatch, tmp_path):
+        import repro.runtime.pool as pool_module
+
+        monkeypatch.setattr(pool_module, "SupervisionConfig",
+                            _supervision(hang_timeout=2.0))
+        params = {"max_iterations": 60, "checkpoint_every": 10}
+        job = PlacementJob(
+            design="fft_1", cells=120, seed=1, tag="hang", params=params,
+            timeout=60.0,
+            faults={"faults": [{"kind": "hang", "iteration": 35,
+                                "seconds": 120.0}]},
+        )
+        log = EventLog()
+        pool = WorkerPool(max_workers=2, retry_backoff=0.01,
+                          checkpoint_dir=str(tmp_path / "ckpt"))
+        began = time.time()
+        results = pool.run([job], events=log)
+        assert results[0].status == "done"
+        assert results[0].attempts == 2
+        preempted = log.of_kind("preempted")
+        assert len(preempted) == 1
+        assert preempted[0].ts - began < job.timeout
+        retries = log.of_kind("retry")
+        assert [r.payload["reason"] for r in retries] == ["hung"]
+        clean = WorkerPool(max_workers=1).run([PlacementJob(
+            design="fft_1", cells=120, seed=1, params=params)])[0]
+        assert results[0].hpwl == clean.hpwl
+
+
+class TestNothingLeftBehind:
+    """After ``run()`` returns no worker process is alive and no
+    shared-memory design segment is still linked."""
+
+    @pytest.fixture
+    def segments(self, monkeypatch):
+        import repro.service.warm as warm
+
+        names = []
+        publish = warm.publish_design
+
+        def recording(netlist, key):
+            manifest, created = publish(netlist, key)
+            names.extend(shm.name for shm in created)
+            return manifest, created
+
+        monkeypatch.setattr(warm, "publish_design", recording)
+        return names
+
+    def assert_clean(self, segments):
+        import multiprocessing
+        from multiprocessing import shared_memory
+
+        assert multiprocessing.active_children() == []
+        assert segments
+        for name in segments:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
+
+    def test_after_normal_run(self, segments):
+        results = WorkerPool(max_workers=2).run(
+            [make_job(seed=s) for s in (1, 2, 3)])
+        assert all(r.ok for r in results)
+        self.assert_clean(segments)
+
+    def test_after_crashes(self, segments):
+        results = WorkerPool(max_workers=2, retry_backoff=0.01).run(
+            [make_job(seed=1, pipeline=KILLER, retries=1),
+             make_job(seed=2)])
+        assert [r.status for r in results] == ["failed", "done"]
+        self.assert_clean(segments)
+
+    def test_after_sigint_drain(self, segments, tmp_path):
+        import os
+        import signal as signal_mod
+        import threading
+
+        hog = dict(design="fft_1", cells=250,
+                   params={"max_iterations": 100000, "min_iterations": 20,
+                           "stop_overflow": 1e-9, "checkpoint_every": 10})
+        pool = WorkerPool(max_workers=2, drain_grace=0.3,
+                          checkpoint_dir=str(tmp_path / "ckpt"))
+        timer = threading.Timer(
+            1.2, lambda: os.kill(os.getpid(), signal_mod.SIGINT))
+        timer.start()
+        try:
+            results = pool.run(
+                [PlacementJob(seed=s, **hog) for s in (1, 2, 3)])
+        finally:
+            timer.cancel()
+        assert all(r.status == "interrupted" for r in results)
+        self.assert_clean(segments)
+
+
+class TestOneEventSchema:
+    """``started``/``finished``/``failed``/``retry`` carry the same
+    payload keys whether the batch pool or the daemon ran the job."""
+
+    KINDS = ("started", "finished", "failed", "retry")
+
+    def keys(self, events, job_ids):
+        found = {}
+        for event in events:
+            if event.kind in self.KINDS and event.job_id in job_ids:
+                found.setdefault(event.kind, set()).update(event.payload)
+        return found
+
+    def test_batch_and_daemon_agree(self, tmp_path):
+        from repro.service import PlacementService
+
+        jobs = [make_job(seed=1),
+                make_job(seed=2, pipeline=KILLER, retries=1)]
+        job_ids = {job.job_id for job in jobs}
+        log = EventLog()
+        WorkerPool(max_workers=2, retry_backoff=0.01,
+                   cache=ResultCache(str(tmp_path / "cache"))).run(
+            jobs, events=log)
+        batch = self.keys(log.snapshot(), job_ids)
+
+        service = PlacementService(str(tmp_path / "state"), workers=2,
+                                   retry_backoff=0.01).start()
+        try:
+            tickets = [service.submit(job.to_dict()).ticket for job in jobs]
+            assert service.wait(tickets, timeout=120)
+            daemon = self.keys(service.events.snapshot(), job_ids)
+        finally:
+            service.stop()
+        assert set(batch) == set(self.KINDS)
+        assert batch == daemon

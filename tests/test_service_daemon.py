@@ -246,6 +246,32 @@ class TestSupervisionApi:
             assert ev["attempt"] >= 1
 
 
+class TestStaleAttempts:
+    def test_late_result_of_a_timed_out_attempt_is_dropped(self, tmp_path):
+        """Thread workers answer a timed-out attempt late: with no
+        backoff, attempt 2 is already running when attempt 1's
+        cancelled result arrives, and it must not resolve attempt 2."""
+        service = PlacementService(str(tmp_path / "state"), workers=1,
+                                   start_method="no-such-method",
+                                   retry_backoff=0.0).start()
+        try:
+            entry = service.submit(dict(
+                design="fft_1", cells=250, seed=1,
+                params={"max_iterations": 100000, "min_iterations": 20,
+                        "stop_overflow": 1e-9},
+                timeout=0.3, timeout_retries=1,
+            ))
+            assert service.wait([entry.ticket], timeout=60)
+            result = service.get(entry.ticket).result
+            assert result.status == "timeout"
+            assert result.attempts == 2
+            started = [e for e in service.events.job_events(entry.job.job_id)
+                       if e.kind == "started"]
+            assert len(started) == 2
+        finally:
+            service.stop()
+
+
 class TestJournal:
     def test_concurrent_terminal_sweeps_journal_once(self, tmp_path):
         """The terminal sweep runs from the drive loop and from HTTP
@@ -326,6 +352,20 @@ class TestRecovery:
             revived.scheduler.close()
 
 
+def _alive(pid):
+    """Whether ``pid`` still runs (an unreaped zombie counts as gone)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except OSError:
+        return True                     # no procfs: trust kill(0)
+    return state != "Z"
+
+
 class TestKillDashNine:
     """The full crash story: SIGKILL the daemon process mid-job, restart
     it on the same state dir, and watch the job finish from checkpoint."""
@@ -365,9 +405,16 @@ class TestKillDashNine:
                 time.sleep(0.1)
             else:
                 pytest.fail("job never checkpointed")
+            worker_pid = [ev["pid"] for ev in events
+                          if ev["kind"] == "started"][-1]
         finally:
             os.kill(proc.pid, signal.SIGKILL)
             proc.wait(timeout=30)
+        # The orphaned worker notices its parent is gone and exits.
+        deadline = time.monotonic() + 5.0
+        while _alive(worker_pid) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not _alive(worker_pid), "worker outlived the killed daemon"
         proc2, port2 = self._start(state)
         try:
             client2 = ServiceClient("127.0.0.1", port2)
