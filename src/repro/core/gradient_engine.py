@@ -350,16 +350,10 @@ class GradientEngine:
         mov_w = self.netlist.cell_w[self._mov_idx]
         mov_h = self.netlist.cell_h[self._mov_idx]
         fillers = self.density.fillers
-        gx = np.concatenate(
-            [
-                -scatter.gather(fx, mov_x, mov_y, mov_w, mov_h),
-                -scatter.gather(fx, filler_x, filler_y, fillers.w, fillers.h),
-            ]
-        )
-        gy = np.concatenate(
-            [
-                -scatter.gather(fy, mov_x, mov_y, mov_w, mov_h),
-                -scatter.gather(fy, filler_x, filler_y, fillers.w, fillers.h),
-            ]
-        )
+        mov_gx, mov_gy = scatter.gather_pair(fx, fy, mov_x, mov_y, mov_w,
+                                             mov_h)
+        fil_gx, fil_gy = scatter.gather_pair(fx, fy, filler_x, filler_y,
+                                             fillers.w, fillers.h)
+        gx = np.concatenate([-mov_gx, -fil_gx])
+        gy = np.concatenate([-mov_gy, -fil_gy])
         return gx, gy

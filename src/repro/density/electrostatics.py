@@ -6,16 +6,17 @@ a uniform M×M grid the Neumann eigenbasis is the product cosine basis
 
     cos(w_u (x + ½)π-scaled) · cos(w_v (y + ½)),   w_u = πu / W,
 
-so the solve is: DCT-II of ρ → divide by (w_u² + w_v²) → inverse DCT for
-ψ, and mixed inverse sine/cosine transforms for the field E = -∇ψ (the
-IDSCT/IDCST pair of ePlace).  Everything runs through ``scipy.fft``; the
-sine-series evaluation helpers are validated against a brute-force
-spectral sum in tests.
+so the solve is: DCT-II of ρ → divide by (w_u² + w_v²) → mixed inverse
+sine/cosine transforms for the field E = -∇ψ (the IDSCT/IDCST pair of
+ePlace).  The energy Σρψ follows from the coefficients by Parseval; the
+inverse DCT for ψ itself runs only when a caller reads it.  Everything
+runs through ``scipy.fft``; the sine-series evaluation helpers are
+validated against a brute-force spectral sum in tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy import fft as sfft
@@ -62,24 +63,44 @@ def _eval_sin(coef: np.ndarray, axis: int, scratch: np.ndarray) -> np.ndarray:
     return y
 
 
-@dataclass
 class FieldSolution:
-    """Potential and field maps on the bin grid (axis 0 = x, axis 1 = y)."""
+    """Potential and field maps on the bin grid (axis 0 = x, axis 1 = y).
 
-    potential: np.ndarray
-    field_x: np.ndarray
-    field_y: np.ndarray
-    energy: float
+    Placement only consumes the field and the energy, so a solve hands
+    over the potential's spectral coefficients ``phi`` instead and the
+    potential is transformed from them on first access.
+    """
+
+    def __init__(
+        self,
+        field_x: np.ndarray,
+        field_y: np.ndarray,
+        energy: float,
+        phi: Optional[np.ndarray] = None,
+        potential: Optional[np.ndarray] = None,
+    ) -> None:
+        self.field_x = field_x
+        self.field_y = field_y
+        self.energy = energy
+        self._phi = phi
+        self._potential = potential
+
+    @property
+    def potential(self) -> np.ndarray:
+        if self._potential is None:
+            profiled("idct_potential")
+            self._potential = sfft.idctn(self._phi, type=2, norm="ortho")
+        return self._potential
 
 
 class ElectrostaticSolver:
     """DCT-based solver mapping a density map to potential and field.
 
     The scipy transforms always allocate their outputs, so the returned
-    potential/field maps are safe to retain.  The spectral
-    intermediates — shifted ρ, scaled coefficient maps, the DST shift
-    scratch — live in reused ``es.*`` buffers of the solver's arena
-    (private unless :meth:`attach_workspace` shares another one).
+    field maps and potential coefficients are safe to retain.  The
+    spectral intermediates — shifted ρ, scaled coefficient maps, the DST
+    shift scratch — live in reused ``es.*`` buffers of the solver's
+    arena (private unless :meth:`attach_workspace` shares another one).
     """
 
     def __init__(self, grid: BinGrid) -> None:
@@ -120,12 +141,9 @@ class ElectrostaticSolver:
             rho = ws.get("es.rho", shape)
             np.subtract(density, density.mean(), out=rho)
             coef = sfft.dctn(rho, type=2, norm="ortho")
-            phi = ws.get("es.phi", shape)
-            np.multiply(coef, self._inv_denom, out=phi)
+            # phi is retained by the solution (lazy potential): fresh.
+            phi = np.multiply(coef, self._inv_denom)
             phi[0, 0] = 0.0
-
-            profiled("idct_potential")
-            potential = sfft.idctn(phi, type=2, norm="ortho")
 
             # Field: E = -∇ψ;  ψ = Σ φ_uv β_u β_v cos(w_u x) cos(w_v y)
             #   E_x = Σ φ_uv β_u β_v w_u sin(w_u x) cos(w_v y)   (IDSCT)
@@ -142,10 +160,11 @@ class ElectrostaticSolver:
             field_y = _eval_cos(cw, axis=0)
             field_y = _eval_sin(field_y, axis=1, scratch=shift)
 
-            etmp = ws.get("es.etmp", shape)
-            np.multiply(rho, potential, out=etmp)
-            energy = float(np.sum(etmp) * grid.bin_area)
-            return FieldSolution(potential, field_x, field_y, energy)
+            # Parseval (orthonormal DCT): Σ ρ·ψ = Σ coef·φ, so the
+            # energy needs no inverse transform of the potential.
+            np.multiply(coef, phi, out=coef)
+            energy = float(np.sum(coef) * grid.bin_area)
+            return FieldSolution(field_x, field_y, energy, phi=phi)
 
     # ------------------------------------------------------------------
     def solve_reference(self, density: np.ndarray) -> FieldSolution:
@@ -166,4 +185,4 @@ class ElectrostaticSolver:
         field_x = np.einsum("uv,ui,vj->ij", c * self._wu[:, None], sin_u, cos_u)
         field_y = np.einsum("uv,ui,vj->ij", c * self._wv[None, :], cos_u, sin_u)
         energy = float(np.sum(rho * potential) * grid.bin_area)
-        return FieldSolution(potential, field_x, field_y, energy)
+        return FieldSolution(field_x, field_y, energy, potential=potential)

@@ -223,21 +223,33 @@ class MultiRegionDensitySystem:
             fw = self.fillers.w[f_lo:f_hi]
             fh = self.fillers.h[f_lo:f_hi]
 
-            group_map = self.scatter.scatter(gx, gy, gw, gh)
-            self.scatter.scatter(fx, fy, fw, fh, out=group_map)
+            # One incidence per group population, shared by the scatter
+            # and the paired gathers; both are live at once, hence two
+            # tags (the next group may reuse them).
+            win_g = self.scatter.prepare_windows(gx, gy, gw, gh,
+                                                 tag="@grp")
+            win_f = self.scatter.prepare_windows(fx, fy, fw, fh,
+                                                 tag="@gfil")
+            group_map = self.scatter.scatter(gx, gy, gw, gh, windows=win_g)
+            self.scatter.scatter(fx, fy, fw, fh, out=group_map,
+                                 windows=win_f)
             group_density = group_map / bin_area + group.obstruction
             solution = self.solver.solve(group_density)
             energy += solution.energy
             total += group_map / bin_area / max(len(self.groups), 1)
 
-            grad_x[cells] = -self.scatter.gather(solution.field_x, gx, gy, gw, gh)
-            grad_y[cells] = -self.scatter.gather(solution.field_y, gx, gy, gw, gh)
-            filler_grad_x[f_lo:f_hi] = -self.scatter.gather(
-                solution.field_x, fx, fy, fw, fh
+            gfx, gfy = self.scatter.gather_pair(
+                solution.field_x, solution.field_y, gx, gy, gw, gh,
+                windows=win_g,
             )
-            filler_grad_y[f_lo:f_hi] = -self.scatter.gather(
-                solution.field_y, fx, fy, fw, fh
+            grad_x[cells] = -gfx
+            grad_y[cells] = -gfy
+            ffx, ffy = self.scatter.gather_pair(
+                solution.field_x, solution.field_y, fx, fy, fw, fh,
+                windows=win_f,
             )
+            filler_grad_x[f_lo:f_hi] = -ffx
+            filler_grad_y[f_lo:f_hi] = -ffy
             last_solution = solution
 
         return DensityResult(

@@ -2,23 +2,23 @@
 
 Standard cells are inflated to at least √2× the bin extents with an
 area-preserving scale factor (ePlace "density smoothing"), which bounds
-the bin window each cell touches and lets the scatter run as a handful of
-vectorised ``np.add.at`` passes — the CPU analogue of the GPU area
-accumulation kernel.  The gather is the exact adjoint: the electric force
-on a cell is the overlap-weighted average of the field over the bins the
-cell's charge was scattered into, so energy gradients are consistent.
+the bin window each cell touches to a few bins per axis.  That makes the
+cell–bin incidence a dense ``(kx·ky, n)`` pair of arrays — flat bin
+index and weight ``ovx·ovy·scale`` per (window offset, cell) — built
+once per population per iteration.  Over it the scatter is a single
+``np.bincount`` and the gather a single take-multiply-sum: the CPU
+analogue of the GPU area-accumulation kernel.  The gather is the exact
+adjoint: the electric force on a cell is the overlap-weighted average
+of the field over the bins the cell's charge was scattered into, so
+energy gradients are consistent.
 
 ``rasterize_exact`` is the unsmoothed exact rasteriser, used for fixed
 macros (computed once) and as the brute-force reference in tests.
 
-Scatter and gather run through the operator's
-:class:`~repro.perf.workspace.Workspace` arena (``sc.*`` buffers): the
-per-axis overlap/validity rows are computed once per offset into
-``(k, n)`` arrays (instead of once per ``(dx, dy)`` pair), window passes
-compress into reused scratch, and a fresh scatter with an all-zero
-destination accumulates every pass through a single flat
-``np.bincount``.  Returned maps (unless the caller passes ``out=``) and
-per-cell vectors are freshly allocated, never arena buffers.
+The incidence and its scratch live in the operator's
+:class:`~repro.perf.workspace.Workspace` arena (``sc.*`` buffers).
+Returned maps (unless the caller passes ``out=``) and per-cell vectors
+are freshly allocated, never arena buffers.
 """
 
 from __future__ import annotations
@@ -84,13 +84,8 @@ class DensityScatter:
         self.workspace = workspace
 
     # ------------------------------------------------------------------
-    def _smoothed_boxes(self, w: np.ndarray, h: np.ndarray, tag: str = ""):
-        """Smoothed extents and the area-preserving density scale.
-
-        ``tag`` namespaces the returned ``scale`` buffer so externally
-        held window handles for different populations never alias even
-        when the populations have the same size.
-        """
+    def _smoothed_boxes(self, w: np.ndarray, h: np.ndarray):
+        """Smoothed extents and the area-preserving density scale."""
         ws = self.workspace
         n = w.shape[0]
         if self.smooth:
@@ -106,15 +101,15 @@ class DensityScatter:
         np.multiply(we, he, out=eff)
         emask = ws.get("sc.emask", n, BOOL)
         np.greater(eff, 0.0, out=emask)
-        scale = ws.get(f"sc.scale{tag}", n)
+        scale = ws.get("sc.scale", n)
         scale.fill(0.0)
         np.divide(area, eff, out=scale, where=emask)
         return we, he, scale
 
     def _partition_large(self, w: np.ndarray, h: np.ndarray, limit: int = 6):
-        """Split cells into vectorised-window (small) and per-cell (large)
+        """Split cells into incidence (small) and per-cell (large)
         populations; movable macros would otherwise blow up the window
-        loop of the vectorised path."""
+        of every cell in the incidence arrays."""
         bw, bh = self.grid.bin_w, self.grid.bin_h
         large = (w > limit * bw) | (h > limit * bh)
         return ~large, large
@@ -122,44 +117,50 @@ class DensityScatter:
     # ------------------------------------------------------------------
     def _axis_overlaps(
         self,
-        tag: str,
+        axis: str,
         lo: np.ndarray,
         hi: np.ndarray,
-        i0: np.ndarray,
         k: int,
         bin_size: float,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-offset overlap and validity rows for one axis.
+        """Per-offset bins and overlaps for one axis, as ``(k, n)`` rows.
 
-        Row ``d`` holds the overlap of ``[lo, hi]`` with bin ``i0 + d``
-        and whether that bin is on the grid and overlapped at all.
+        Row ``d`` holds bin ``i0 + d`` (``i0`` the bin of ``lo``) and
+        the overlap of ``[lo, hi]`` with it.
+        Clamping the interval to the grid first zeroes the overlap of
+        every off-grid bin while leaving on-grid overlaps bit-identical;
+        the off-grid bins are then clamped onto the grid so every index
+        is valid.
         """
         ws = self.workspace
         n = lo.shape[0]
         m = self.grid.m
-        ov = ws.get(f"sc.ov{tag}", (k, n))
-        vv = ws.get(f"sc.vv{tag}", (k, n), BOOL)
-        ci = ws.get("sc.ci", n, INT)
         ftmp = ws.get("sc.ftmp", n)
-        btmp = ws.get("sc.btmp", n, BOOL)
-        for d in range(k):
-            row = ov[d]
-            vrow = vv[d]
-            np.add(i0, d, out=ci)
-            np.multiply(ci, bin_size, out=ftmp)
-            np.maximum(lo, ftmp, out=ftmp)
-            np.add(ci, 1, out=ci)
-            np.multiply(ci, bin_size, out=row)
-            np.minimum(hi, row, out=row)
-            np.subtract(row, ftmp, out=row)
-            np.clip(row, 0.0, None, out=row)
-            np.subtract(ci, 1, out=ci)
-            np.greater_equal(ci, 0, out=vrow)
-            np.less(ci, m, out=btmp)
-            np.logical_and(vrow, btmp, out=vrow)
-            np.greater(row, 0.0, out=btmp)
-            np.logical_and(vrow, btmp, out=vrow)
-        return ov, vv
+        np.divide(lo, bin_size, out=ftmp)
+        np.floor(ftmp, out=ftmp)
+        # Bin i0 + d and its lower edge for d = 0..k; row d + 1 holds
+        # the upper edge of row d.  Bins stay float until the final
+        # cast: mixed int/float ufuncs are several times slower.
+        cf = ws.get(f"sc.cf{axis}", (k + 1, n))
+        np.add(ftmp, np.arange(k + 1, dtype=FLOAT)[:, None], out=cf)
+        edge = ws.get("sc.edge", (k + 1, n))
+        np.multiply(cf, bin_size, out=edge)
+        lo_c = ws.get("sc.lo", n)
+        hi_c = ws.get("sc.hi", n)
+        np.maximum(lo, 0.0, out=lo_c)
+        np.minimum(hi, m * bin_size, out=hi_c)
+        low = ws.get("sc.low", (k, n))
+        np.maximum(lo_c, edge[:-1], out=low)
+        ov = ws.get(f"sc.ov{axis}", (k, n))
+        np.minimum(hi_c, edge[1:], out=ov)
+        np.subtract(ov, low, out=ov)
+        np.maximum(ov, 0.0, out=ov)
+        bins = cf[:-1]
+        np.maximum(bins, 0.0, out=bins)
+        np.minimum(bins, m - 1, out=bins)
+        ci = ws.get(f"sc.ci{axis}", (k, n), INT)
+        np.copyto(ci, bins, casting="unsafe")
+        return ci, ov
 
     def _prepare_windows(
         self,
@@ -168,17 +169,20 @@ class DensityScatter:
         w: np.ndarray,
         h: np.ndarray,
         tag: str = "",
-    ):
-        """Boxes, base bin indices and per-axis overlap rows (arena-backed).
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The smoothed cell–bin incidence ``(idx, wgt)`` (arena-backed).
 
-        ``tag`` namespaces the buffers that outlive this call (scale,
-        base indices, overlap/validity rows) for externally held
-        handles; scratch buffers stay shared.
+        Both arrays are pass-major ``(kx·ky, n)``: row ``dx·ky + dy``
+        holds, per cell, the flat index of bin ``(ix0 + dx, iy0 + dy)``
+        and its weight ``ovx·ovy·scale``.  Entries off the grid have
+        weight 0 and an index clamped onto the grid.  ``tag`` namespaces
+        the two arrays; everything else is scratch.
         """
         ws = self.workspace
         grid = self.grid
+        m = grid.m
         n = x.shape[0]
-        we, he, scale = self._smoothed_boxes(w, h, tag)
+        we, he, scale = self._smoothed_boxes(w, h)
         bw, bh = grid.bin_w, grid.bin_h
 
         xl = ws.get("sc.xl", n)
@@ -194,22 +198,20 @@ class DensityScatter:
         yh = ws.get("sc.yh", n)
         np.add(yl, he, out=yh)
 
-        ftmp = ws.get("sc.ftmp", n)
-        ix0 = ws.get(f"sc.ix0{tag}", n, INT)
-        np.divide(xl, bw, out=ftmp)
-        np.floor(ftmp, out=ftmp)
-        np.copyto(ix0, ftmp, casting="unsafe")
-        iy0 = ws.get(f"sc.iy0{tag}", n, INT)
-        np.divide(yl, bh, out=ftmp)
-        np.floor(ftmp, out=ftmp)
-        np.copyto(iy0, ftmp, casting="unsafe")
-
         # Window sizes derived from the largest cell this call sees.
         kx = int(np.ceil(we.max() / bw)) + 1
         ky = int(np.ceil(he.max() / bh)) + 1
-        ovx, vvx = self._axis_overlaps(f"x{tag}", xl, xh, ix0, kx, bw)
-        ovy, vvy = self._axis_overlaps(f"y{tag}", yl, yh, iy0, ky, bh)
-        return scale, ix0, iy0, ovx, vvx, ovy, vvy, kx, ky
+        cix, ovx = self._axis_overlaps("x", xl, xh, kx, bw)
+        ciy, ovy = self._axis_overlaps("y", yl, yh, ky, bh)
+
+        wgt = ws.get(f"sc.wgt{tag}", (kx * ky, n))
+        np.multiply(ovx[:, None, :], ovy[None, :, :],
+                    out=wgt.reshape(kx, ky, n))
+        np.multiply(wgt, scale, out=wgt)
+        idx = ws.get(f"sc.idx{tag}", (kx * ky, n), INT)
+        np.multiply(cix, m, out=cix)
+        np.add(cix[:, None, :], ciy[None, :, :], out=idx.reshape(kx, ky, n))
+        return idx, wgt
 
     def prepare_windows(
         self,
@@ -219,20 +221,18 @@ class DensityScatter:
         h: np.ndarray,
         tag: str = "",
     ):
-        """Precompute the shared window state for one cell population.
+        """Build the cell–bin incidence of one cell population.
 
         A scatter and its adjoint gathers over the *same* positions and
-        sizes recompute identical boxes, bin indices and overlap rows;
-        the density system computes them once per population per
-        iteration and passes the handle to :meth:`scatter` /
-        :meth:`gather_pair` via ``windows=``.
+        sizes share one incidence; the density system builds it once per
+        population per iteration and passes the handle to
+        :meth:`scatter` / :meth:`gather_pair` via ``windows=``.
 
         The handle references arena buffers: it is only valid until the
         next ``prepare_windows`` call with the same ``tag`` for a
         same-shaped population (give concurrently live handles distinct
-        tags), and the caller must not mutate ``x, y, w, h`` while it
-        is live.
-        Returns ``None`` (callers fall back to self-prepared windows)
+        tags).
+        Returns ``None`` (callers fall back to a self-built incidence)
         when the population is empty or contains large cells that take
         the per-cell exact path.
         """
@@ -260,7 +260,7 @@ class DensityScatter:
         place when given (in-place operators, Section 3.1.3).  Cells much
         larger than a bin (movable macros) take an exact per-cell path.
         ``windows`` is an optional :meth:`prepare_windows` handle for
-        these exact cells (skips recomputing the overlap rows).
+        these exact cells.
         """
         with timed("density_scatter"):
             return self._scatter(x, y, w, h, out, windows)
@@ -276,7 +276,6 @@ class DensityScatter:
     ) -> np.ndarray:
         ws = self.workspace
         grid = self.grid
-        m = grid.m
         density = out
         if x.size == 0:
             if density is None:
@@ -304,77 +303,25 @@ class DensityScatter:
                 x, y, w, h = xs, ys, wsz, hsz
             windows = self._prepare_windows(x, y, w, h)
 
-        n = x.shape[0]
-        scale, ix0, iy0, ovx, vvx, ovy, vvy, kx, ky = windows
-        profiled("density_scatter", kx * ky)
-        # Work metric: cells processed per window pass (operator
-        # extraction saves duplicated passes over the same cells).
-        profiled("density_scatter_cells", n * kx * ky)
-
-        vbuf = ws.get("sc.valid", n, BOOL)
-        cb = ws.get("sc.cb", n)
-        itmp = ws.get("sc.itmp", n, INT)
-
+        idx, wgt = windows
+        profiled("density_scatter")
+        # Work metric: cell–bin entries scattered (operator extraction
+        # saves duplicated entries over the same cells).
+        profiled("density_scatter_cells", idx.size)
+        # Pass-major order adds each bin's addends in the same order as
+        # one np.add.at per window offset would; the zero-weight
+        # off-grid entries add exact zeros.
         if density is None:
-            # Fresh all-zero destination: collect every window pass and
-            # accumulate them in one flat bincount, which adds the
-            # per-bin addends in the same (pass, element) order as
-            # per-pass np.add.at would.
-            cap = n * kx * ky
-            flat = ws.get("sc.flat", cap, INT)
-            vals = ws.get("sc.vals", cap)
-            total = 0
-            for dx in range(kx):
-                vxrow = vvx[dx]
-                if not vxrow.any():
-                    continue
-                for dy in range(ky):
-                    np.logical_and(vxrow, vvy[dy], out=vbuf)
-                    k = int(np.count_nonzero(vbuf))
-                    if k == 0:
-                        continue
-                    seg = vals[total:total + k]
-                    np.compress(vbuf, ovx[dx], out=seg)
-                    np.compress(vbuf, ovy[dy], out=cb[:k])
-                    np.multiply(seg, cb[:k], out=seg)
-                    np.compress(vbuf, scale, out=cb[:k])
-                    np.multiply(seg, cb[:k], out=seg)
-                    iseg = flat[total:total + k]
-                    np.compress(vbuf, ix0, out=iseg)
-                    np.add(iseg, dx, out=iseg)
-                    np.multiply(iseg, m, out=iseg)
-                    np.compress(vbuf, iy0, out=itmp[:k])
-                    np.add(itmp[:k], dy, out=itmp[:k])
-                    np.add(iseg, itmp[:k], out=iseg)
-                    total += k
             return np.bincount(
-                flat[:total], weights=vals[:total], minlength=m * m
+                idx.reshape(-1), wgt.reshape(-1), minlength=grid.m * grid.m
             ).reshape(grid.shape)
-
         # Pre-populated destination (caller out= or large-cell raster):
-        # accumulate pass by pass into it; adding a separately summed
-        # map instead would regroup the floating-point additions.
-        ci = ws.get("sc.cols", n, INT)
-        for dx in range(kx):
-            vxrow = vvx[dx]
-            if not vxrow.any():
-                continue
-            for dy in range(ky):
-                np.logical_and(vxrow, vvy[dy], out=vbuf)
-                k = int(np.count_nonzero(vbuf))
-                if k == 0:
-                    continue
-                seg = ws.get("sc.pass", n)[:k]
-                np.compress(vbuf, ovx[dx], out=seg)
-                np.compress(vbuf, ovy[dy], out=cb[:k])
-                np.multiply(seg, cb[:k], out=seg)
-                np.compress(vbuf, scale, out=cb[:k])
-                np.multiply(seg, cb[:k], out=seg)
-                np.compress(vbuf, ix0, out=ci[:k])
-                np.add(ci[:k], dx, out=ci[:k])
-                np.compress(vbuf, iy0, out=itmp[:k])
-                np.add(itmp[:k], dy, out=itmp[:k])
-                np.add.at(density, (ci[:k], itmp[:k]), seg)
+        # accumulate into it; adding a separately summed map instead
+        # would regroup the floating-point additions.
+        flat = density.reshape(-1)  # a copy unless C-contiguous
+        np.add.at(flat, idx.reshape(-1), wgt.reshape(-1))
+        if not np.shares_memory(flat, density):
+            density[...] = flat.reshape(density.shape)
         return density
 
     # ------------------------------------------------------------------
@@ -396,7 +343,7 @@ class DensityScatter:
         these exact cells.
         """
         with timed("density_gather"):
-            return self._gather(field, x, y, w, h, windows)
+            return self._gather((field,), x, y, w, h, windows)[0]
 
     def gather_pair(
         self,
@@ -408,20 +355,17 @@ class DensityScatter:
         h: np.ndarray,
         windows=None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Gather two per-bin fields over one shared window computation.
+        """Gather two per-bin fields over one shared incidence.
 
         The x- and y-axis force gathers in the density system use
-        identical cell geometry — only the field differs.  Sharing the
-        boxes, bin indices and overlap rows between the two halves the
-        gather bookkeeping (one window pass instead of two).  Each
-        per-cell result is bit-identical to the corresponding single
-        :meth:`gather` call: the per-field multiply chain keeps the
-        exact same order, only the loop-invariant overlap values are
-        reused.  ``windows`` is an optional :meth:`prepare_windows`
-        handle for these exact cells.
+        identical cell geometry — only the field differs — so one
+        incidence serves both.  Each per-cell result is bit-identical to
+        the corresponding single :meth:`gather` call (the same
+        take-multiply-sum per field).  ``windows`` is an optional
+        :meth:`prepare_windows` handle for these exact cells.
         """
         with timed("density_gather"):
-            return self._gather_pair(field_a, field_b, x, y, w, h, windows)
+            return self._gather((field_a, field_b), x, y, w, h, windows)
 
     def _large_overlaps(self, x, y, w, h) -> Tuple[np.ndarray, np.ndarray]:
         """Full (L, m) per-axis overlap matrices for large cells.
@@ -440,140 +384,47 @@ class DensityScatter:
 
     def _gather(
         self,
-        field: np.ndarray,
+        fields: Tuple[np.ndarray, ...],
         x: np.ndarray,
         y: np.ndarray,
         w: np.ndarray,
         h: np.ndarray,
         windows=None,
-    ) -> np.ndarray:
-        result = np.zeros(x.shape, dtype=FLOAT)
+    ) -> Tuple[np.ndarray, ...]:
         if x.size == 0:
-            return result
+            return tuple(np.zeros(x.shape, dtype=FLOAT) for _ in fields)
         if windows is None:
             small, large = self._partition_large(w, h)
             if large.any():
                 ov_x, ov_y = self._large_overlaps(
                     x[large], y[large], w[large], h[large]
                 )
-                result[large] = np.einsum("im,in,mn->i", ov_x, ov_y, field)
+                parts = None
                 if small.any():
-                    result[small] = self._gather(
-                        field, x[small], y[small], w[small], h[small]
-                    )
-                return result
+                    parts = self._gather(fields, x[small], y[small],
+                                         w[small], h[small])
+                results = []
+                for i, field in enumerate(fields):
+                    result = np.zeros(x.shape, dtype=FLOAT)
+                    result[large] = np.einsum("im,in,mn->i", ov_x, ov_y,
+                                              field)
+                    if parts is not None:
+                        result[small] = parts[i]
+                    results.append(result)
+                return tuple(results)
             windows = self._prepare_windows(x, y, w, h)
 
-        ws = self.workspace
-        m = self.grid.m
-        n = x.shape[0]
-        scale, ix0, iy0, ovx, vvx, ovy, vvy, kx, ky = windows
-        profiled("density_gather", kx * ky)
-        field_flat = np.ascontiguousarray(field).reshape(-1)
-        vbuf = ws.get("sc.valid", n, BOOL)
-        cb = ws.get("sc.cb", n)
-        fv = ws.get("sc.fv", n)
-        ci = ws.get("sc.cols", n, INT)
-        itmp = ws.get("sc.itmp", n, INT)
-        for dx in range(kx):
-            vxrow = vvx[dx]
-            if not vxrow.any():
-                continue
-            for dy in range(ky):
-                np.logical_and(vxrow, vvy[dy], out=vbuf)
-                k = int(np.count_nonzero(vbuf))
-                if k == 0:
-                    continue
-                np.compress(vbuf, ix0, out=ci[:k])
-                np.add(ci[:k], dx, out=ci[:k])
-                np.multiply(ci[:k], m, out=ci[:k])
-                np.compress(vbuf, iy0, out=itmp[:k])
-                np.add(itmp[:k], dy, out=itmp[:k])
-                np.add(ci[:k], itmp[:k], out=ci[:k])
-                np.take(field_flat, ci[:k], out=fv[:k])
-                np.compress(vbuf, ovx[dx], out=cb[:k])
-                np.multiply(fv[:k], cb[:k], out=fv[:k])
-                np.compress(vbuf, ovy[dy], out=cb[:k])
-                np.multiply(fv[:k], cb[:k], out=fv[:k])
-                np.compress(vbuf, scale, out=cb[:k])
-                np.multiply(fv[:k], cb[:k], out=fv[:k])
-                result[vbuf] += fv[:k]
-        return result
-
-    def _gather_pair(
-        self,
-        field_a: np.ndarray,
-        field_b: np.ndarray,
-        x: np.ndarray,
-        y: np.ndarray,
-        w: np.ndarray,
-        h: np.ndarray,
-        windows=None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        result_a = np.zeros(x.shape, dtype=FLOAT)
-        result_b = np.zeros(x.shape, dtype=FLOAT)
-        if x.size == 0:
-            return result_a, result_b
-        if windows is None:
-            small, large = self._partition_large(w, h)
-            if large.any():
-                ov_x, ov_y = self._large_overlaps(
-                    x[large], y[large], w[large], h[large]
-                )
-                result_a[large] = np.einsum("im,in,mn->i", ov_x, ov_y,
-                                            field_a)
-                result_b[large] = np.einsum("im,in,mn->i", ov_x, ov_y,
-                                            field_b)
-                if small.any():
-                    result_a[small], result_b[small] = self._gather_pair(
-                        field_a, field_b, x[small], y[small], w[small],
-                        h[small]
-                    )
-                return result_a, result_b
-            windows = self._prepare_windows(x, y, w, h)
-
-        ws = self.workspace
-        m = self.grid.m
-        n = x.shape[0]
-        scale, ix0, iy0, ovx, vvx, ovy, vvy, kx, ky = windows
-        profiled("density_gather", kx * ky)
-        fa_flat = np.ascontiguousarray(field_a).reshape(-1)
-        fb_flat = np.ascontiguousarray(field_b).reshape(-1)
-        vbuf = ws.get("sc.valid", n, BOOL)
-        cb = ws.get("sc.cb", n)
-        fva = ws.get("sc.fv", n)
-        fvb = ws.get("sc.fv2", n)
-        ci = ws.get("sc.cols", n, INT)
-        itmp = ws.get("sc.itmp", n, INT)
-        for dx in range(kx):
-            vxrow = vvx[dx]
-            if not vxrow.any():
-                continue
-            for dy in range(ky):
-                np.logical_and(vxrow, vvy[dy], out=vbuf)
-                k = int(np.count_nonzero(vbuf))
-                if k == 0:
-                    continue
-                np.compress(vbuf, ix0, out=ci[:k])
-                np.add(ci[:k], dx, out=ci[:k])
-                np.multiply(ci[:k], m, out=ci[:k])
-                np.compress(vbuf, iy0, out=itmp[:k])
-                np.add(itmp[:k], dy, out=itmp[:k])
-                np.add(ci[:k], itmp[:k], out=ci[:k])
-                np.take(fa_flat, ci[:k], out=fva[:k])
-                np.take(fb_flat, ci[:k], out=fvb[:k])
-                np.compress(vbuf, ovx[dx], out=cb[:k])
-                np.multiply(fva[:k], cb[:k], out=fva[:k])
-                np.multiply(fvb[:k], cb[:k], out=fvb[:k])
-                np.compress(vbuf, ovy[dy], out=cb[:k])
-                np.multiply(fva[:k], cb[:k], out=fva[:k])
-                np.multiply(fvb[:k], cb[:k], out=fvb[:k])
-                np.compress(vbuf, scale, out=cb[:k])
-                np.multiply(fva[:k], cb[:k], out=fva[:k])
-                np.multiply(fvb[:k], cb[:k], out=fvb[:k])
-                result_a[vbuf] += fva[:k]
-                result_b[vbuf] += fvb[:k]
-        return result_a, result_b
+        idx, wgt = windows
+        profiled("density_gather", len(fields))
+        vals = self.workspace.get("sc.fv", idx.shape)
+        results = []
+        for field in fields:
+            flat = np.ascontiguousarray(field).reshape(-1)
+            # Every index is on the grid: "clip" skips take's buffering.
+            np.take(flat, idx, out=vals, mode="clip")
+            np.multiply(vals, wgt, out=vals)
+            results.append(vals.sum(axis=0))
+        return tuple(results)
 
 
 def rasterize_exact(

@@ -134,9 +134,9 @@ class DensitySystem:
         np.take(x, self._mov_idx, out=mov_x)
         np.take(y, self._mov_idx, out=mov_y)
 
-        # Shared window handles: the scatter and the force gathers below
-        # run over the same cell geometry, so the boxes/overlap rows are
-        # computed once per population per iteration.
+        # Shared incidence handles: the scatter and the force gathers
+        # below run over the same cell geometry, so the cell–bin
+        # incidence is built once per population per iteration.
         win_mov = self.scatter.prepare_windows(
             mov_x, mov_y, self._mov_w, self._mov_h, tag="@mov"
         )
@@ -192,9 +192,8 @@ class DensitySystem:
         # alias arena storage).
         grad_x = np.zeros(self.netlist.num_cells, dtype=FLOAT)
         grad_y = np.zeros(self.netlist.num_cells, dtype=FLOAT)
-        # Paired gather: both field axes share one window computation
-        # (identical cell geometry).  The windows themselves are reused
-        # from the scatter above.
+        # Paired gather: both field axes share one incidence (identical
+        # cell geometry), reused from the scatter above.
         if win_fil is None:
             win_fil = self.scatter.prepare_windows(
                 filler_x, filler_y, self.fillers.w, self.fillers.h,

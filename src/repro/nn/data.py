@@ -127,8 +127,7 @@ def placement_push_dataset(
         sol = solver.solve(density)
         if iteration % record_every == 0:
             samples.append(normalize_sample(density, sol.field_x, sol.field_y))
-        fx = scatter.gather(sol.field_x, x, y, w, h)
-        fy = scatter.gather(sol.field_y, x, y, w, h)
+        fx, fy = scatter.gather_pair(sol.field_x, sol.field_y, x, y, w, h)
         norm = max(np.abs(fx).max(), np.abs(fy).max(), 1e-12)
         x = np.clip(x + step * fx / norm, 0.01, 0.99)
         y = np.clip(y + step * fy / norm, 0.01, 0.99)

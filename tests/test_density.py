@@ -134,6 +134,59 @@ class TestScatter:
         assert density.sum() <= w * h + 1e-9
 
 
+class TestIncidence:
+    """The cell–bin incidence scatter against the exact rasteriser.
+
+    Unsmoothed, the scatter must reproduce ``rasterize_exact`` for any
+    window the incidence covers: entries off the die carry no weight,
+    the widest small cell fills a 7×7 window, and large cells still take
+    the per-cell path next to an incidence of small ones.
+    """
+
+    @staticmethod
+    def _check(grid, x, y, w, h):
+        exact = rasterize_exact(grid, x, y, w, h)
+        fast = DensityScatter(grid, smooth=False).scatter(x, y, w, h)
+        np.testing.assert_allclose(fast, exact, rtol=1e-12,
+                                   atol=1e-12 * exact.max())
+        return fast
+
+    def test_cells_crossing_every_die_edge(self, grid):
+        # Centers on all four edges and all four corners.
+        x = np.array([0.0, 64.0, 32.0, 31.0, 0.5, 63.5, 1.0, 64.0, 2.0])
+        y = np.array([32.0, 30.0, 0.0, 64.0, 0.5, 1.0, 63.0, 64.0, 33.0])
+        w = np.array([3.0, 5.5, 7.0, 2.0, 9.0, 4.0, 6.5, 11.0, 6.0])
+        h = np.array([5.0, 2.5, 3.0, 9.5, 4.0, 8.0, 6.5, 10.0, 2.0])
+        density = self._check(grid, x, y, w, h)
+        # Area off the die is dropped, never wrapped onto other bins.
+        assert density.sum() < np.sum(w * h)
+        assert np.all(density >= 0.0)
+
+    def test_window_at_large_cell_limit(self, grid):
+        # 6 bins wide is still small; off bin alignment it covers 7 bins
+        # per axis, the largest incidence window.
+        bw, bh = grid.bin_w, grid.bin_h
+        x = np.array([21.3, 40.9, 30.0])
+        y = np.array([25.7, 33.1, 37.0])
+        w = np.array([6.0 * bw, 6.0 * bw, 1.0])
+        h = np.array([6.0 * bh, 2.5, 6.0 * bh])
+        idx, wgt = DensityScatter(grid, smooth=False).prepare_windows(
+            x, y, w, h
+        )
+        assert idx.shape == wgt.shape == (49, 3)
+        self._check(grid, x, y, w, h)
+
+    def test_mixed_large_and_small(self, grid):
+        rng = np.random.default_rng(11)
+        n = 40
+        x = np.concatenate([rng.uniform(0, 64, n), [20.0, 60.0]])
+        y = np.concatenate([rng.uniform(0, 64, n), [30.0, 2.0]])
+        w = np.concatenate([rng.uniform(0.5, 6.0, n), [30.0, 10.0]])
+        h = np.concatenate([rng.uniform(0.5, 6.0, n), [8.0, 27.0]])
+        assert DensityScatter(grid).prepare_windows(x, y, w, h) is None
+        self._check(grid, x, y, w, h)
+
+
 class TestOverflow:
     def test_zero_when_under_target(self, grid):
         density = np.full(grid.shape, 0.5)

@@ -7,6 +7,7 @@ from repro.density import BinGrid, DensitySystem, ElectrostaticSolver
 from repro.density.electrostatics import _eval_cos, _eval_sin
 from repro.benchgen import CircuitSpec, generate_circuit
 from repro.netlist import PlacementRegion
+from repro.ops import use_profiler
 
 
 @pytest.fixture
@@ -56,6 +57,23 @@ class TestSolver:
         np.testing.assert_allclose(fast.field_x, ref.field_x, atol=1e-12)
         np.testing.assert_allclose(fast.field_y, ref.field_y, atol=1e-12)
         assert fast.energy == pytest.approx(ref.energy)
+
+    @pytest.mark.parametrize("m", [16, 32])
+    def test_parseval_energy_and_lazy_potential(self, m):
+        # The solve takes the energy from the spectral coefficients and
+        # transforms the potential only when it is read.
+        grid = BinGrid(PlacementRegion(0, 0, 40, 24), m)
+        solver = ElectrostaticSolver(grid)
+        rho = np.random.default_rng(m).uniform(0, 2, grid.shape)
+        ref = solver.solve_reference(rho)
+        with use_profiler() as profiler:
+            fast = solver.solve(rho)
+            assert "idct_potential" not in profiler.counts
+            assert fast.energy == pytest.approx(ref.energy, rel=1e-12)
+            np.testing.assert_allclose(fast.potential, ref.potential,
+                                       atol=1e-12)
+            assert fast.potential is fast.potential
+        assert profiler.counts["idct_potential"] == 1
 
     def test_poisson_residual_on_smooth_density(self, solver):
         grid = solver.grid

@@ -4,7 +4,7 @@ Every hot operator has one implementation, the arena path.  It is
 checked against the independent references — ``rasterize_exact``,
 ``ElectrostaticSolver.solve_reference``, ``AutogradWirelengthOp`` and
 ``gradcheck_all`` — and, end to end, against a committed golden GP
-trajectory.  Arena reuse and the structural fusions (shared window
+trajectory.  Arena reuse and the structural fusions (shared incidence
 handles, paired gathers) must not change a single bit, no result may
 alias an arena buffer, and the steady-state hot loop must perform zero
 new arena allocations.  The ``repro bench`` harness is tested end to end.
@@ -26,7 +26,7 @@ from repro.core.initializer import initial_positions
 from repro.density import BinGrid, DensityScatter, DensitySystem
 from repro.density.electrostatics import ElectrostaticSolver
 from repro.density.multi import MultiRegionDensitySystem
-from repro.density.scatter import rasterize_exact
+from repro.density.scatter import _overlap_matrix, rasterize_exact
 from repro.dtypes import FLOAT, INT
 from repro.netlist import PlacementRegion
 from repro.netlist.builder import NetlistBuilder
@@ -112,6 +112,61 @@ def per_cell_gather(grid, field, x, y, w, h):
                                h[i:i + 1]) * field)
         for i in range(len(x))
     ])
+
+
+def smoothed_boxes(grid, x, y, w, h):
+    """Lower corners, smoothed extents and area scale, spelled as in the
+    scatter (same operations, same order)."""
+    we = np.maximum(w, np.sqrt(2.0) * grid.bin_w)
+    he = np.maximum(h, np.sqrt(2.0) * grid.bin_h)
+    eff = we * he
+    scale = np.zeros_like(eff)
+    np.divide(w * h, eff, out=scale, where=eff > 0)
+    xl = x - we / 2 - grid.region.xl
+    yl = y - he / 2 - grid.region.yl
+    return xl, yl, we, he, scale
+
+
+def pass_by_pass_scatter(grid, x, y, w, h, out):
+    """One ``np.add.at`` per window offset (dx, dy): the smoothed scatter
+    as a window loop, accumulating into ``out``."""
+    xl, yl, we, he, scale = smoothed_boxes(grid, x, y, w, h)
+    bw, bh, m = grid.bin_w, grid.bin_h, grid.m
+    ix0 = np.floor(xl / bw).astype(INT)
+    iy0 = np.floor(yl / bh).astype(INT)
+    kx = int(np.ceil(we.max() / bw)) + 1
+    ky = int(np.ceil(he.max() / bh)) + 1
+    for dx in range(kx):
+        cols = ix0 + dx
+        ov_x = np.clip(np.minimum(xl + we, (cols + 1) * bw)
+                       - np.maximum(xl, cols * bw), 0.0, None)
+        for dy in range(ky):
+            rows = iy0 + dy
+            ov_y = np.clip(np.minimum(yl + he, (rows + 1) * bh)
+                           - np.maximum(yl, rows * bh), 0.0, None)
+            valid = ((cols >= 0) & (cols < m) & (ov_x > 0)
+                     & (rows >= 0) & (rows < m) & (ov_y > 0))
+            np.add.at(out, (cols[valid], rows[valid]),
+                      ov_x[valid] * ov_y[valid] * scale[valid])
+    return out
+
+
+def dense_gather(grid, field, x, y, w, h):
+    """Σ_b overlap(i, b)·field_b·scale_i over full (n, m) overlap rows."""
+    xl, yl, we, he, scale = smoothed_boxes(grid, x, y, w, h)
+    ov_x = _overlap_matrix(xl, xl + we, grid.m, grid.bin_w)
+    ov_y = _overlap_matrix(yl, yl + he, grid.m, grid.bin_h)
+    return np.einsum("im,in,mn->i", ov_x, ov_y, field) * scale
+
+
+def edge_cells(grid):
+    """Small cells centred on every die edge and corner."""
+    r = grid.region
+    x = np.array([r.xl, r.xh, (r.xl + r.xh) / 2, r.xl + 0.3, r.xh, r.xl])
+    y = np.array([(r.yl + r.yh) / 2, r.yl + 1.0, r.yl, r.yh, r.yh, r.yl])
+    w = np.array([0.8, 2.5, 1.0, 3.0, 1.5, 0.4]) * grid.bin_w
+    h = np.array([1.2, 0.6, 2.0, 1.0, 2.5, 0.4]) * grid.bin_h
+    return x, y, w, h
 
 
 class TestWorkspace:
@@ -245,6 +300,29 @@ class TestBitIdentity:
         ga, gb = sc.gather_pair(fa, fb, x, y, w, h, windows=win)
         assert np.array_equal(ga, sc.gather(fa, x, y, w, h))
         assert np.array_equal(gb, sc.gather(fb, x, y, w, h))
+
+    def test_gather_matches_dense_reference(self, grid, cells):
+        x, y, w, h = (np.concatenate(pair)
+                      for pair in zip(cells, edge_cells(grid)))
+        field = np.random.default_rng(10).normal(size=grid.shape)
+        sc = DensityScatter(grid)
+        win = sc.prepare_windows(x, y, w, h, tag="@t")
+        ga, gb = sc.gather_pair(field, -field, x, y, w, h, windows=win)
+        expected = dense_gather(grid, field, x, y, w, h)
+        assert_close(ga, expected)
+        assert_close(gb, -expected)
+
+    def test_scatter_out_matches_pass_by_pass(self, grid, cells):
+        x, y, w, h = (np.concatenate(pair)
+                      for pair in zip(cells, edge_cells(grid)))
+        base = np.random.default_rng(12).uniform(size=grid.shape)
+        sc = DensityScatter(grid)
+        expected = pass_by_pass_scatter(grid, x, y, w, h, base.copy())
+        for out in (base.copy(), np.asfortranarray(base)):
+            assert sc.scatter(x, y, w, h, out=out) is out
+            assert np.array_equal(out, expected)
+        fresh = pass_by_pass_scatter(grid, x, y, w, h, np.zeros(grid.shape))
+        assert np.array_equal(sc.scatter(x, y, w, h), fresh)
 
     def test_field_solver(self, grid):
         density = np.random.default_rng(9).normal(size=grid.shape)
@@ -488,6 +566,20 @@ class TestArenaSteadyState:
         pos_x = np.concatenate([x0[mov], density.fillers.x])
         pos_y = np.concatenate([y0[mov], density.fillers.y])
         _assert_steady_state(engine, pos_x, pos_y, 1.0, 1e-4)
+
+    def test_density_evaluate_no_new_allocations(self, netlist, fenced):
+        # The density systems on their own: the incidence handles and
+        # their scratch are all warm after the first evaluation.
+        single = DensitySystem(netlist, rng=np.random.default_rng(1))
+        multi = MultiRegionDensitySystem(fenced, 0.9,
+                                         rng=np.random.default_rng(0))
+        for system, design in ((single, netlist), (multi, fenced)):
+            ws = system.workspace
+            system.evaluate(*placement(design, 0))
+            ws.reset_counters()
+            for seed in (1, 2, 3):
+                system.evaluate(*placement(design, seed))
+            assert ws.misses == 0 and ws.hits > 0
 
 
 class TestBench:
