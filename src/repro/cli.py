@@ -11,9 +11,6 @@ Commands
 ``train-fno`` train (and cache) the neural guidance model
 ``lint``      run the repo-specific static analysis rules (repro.analysis)
               over source paths; exit 0 clean / 1 violations / 2 usage
-``bench``     benchmark the hot placement operators and write
-              BENCH_operator.json; with ``--compare`` gate against a
-              saved report
 ``serve``     run the placement daemon (HTTP job API, warm workers)
 ``chaos``     seeded service-chaos soak: boot a real daemon against a
               deterministic service fault plan (hung workers, slow I/O,
@@ -270,61 +267,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return EXIT_VIOLATIONS if new else EXIT_CLEAN
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.warm:
-        from repro.service.bench import (
-            format_warm_report,
-            warm_latency_bench,
-            write_warm_report,
-        )
-
-        report = warm_latency_bench(
-            design=args.warm_design,
-            cells=args.warm_cells,
-            repeats=args.warm_repeats,
-            start_method=args.warm_start_method,
-        )
-        print(format_warm_report(report))
-        out = args.out if args.out != "BENCH_operator.json" \
-            else "BENCH_service.json"
-        print(f"wrote {write_warm_report(report, out)}")
-        return 0
-
-    from repro.perf.bench import (
-        compare_reports,
-        format_report,
-        load_report,
-        run_bench,
-        write_report,
-    )
-
-    report = run_bench(
-        size=args.size,
-        iters=args.iters,
-        warmup=args.warmup,
-        seed=args.seed,
-    )
-    print(format_report(report))
-    path = write_report(report, args.out)
-    print(f"wrote {path}")
-    if args.compare:
-        try:
-            previous = load_report(args.compare)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read {args.compare}: {exc}",
-                  file=sys.stderr)
-            return 2
-        problems = compare_reports(report, previous,
-                                   threshold=args.threshold)
-        if problems:
-            for problem in problems:
-                print(f"REGRESSION: {problem}", file=sys.stderr)
-            return 1
-        print(f"no regressions vs {args.compare} "
-              f"(threshold {args.threshold * 100:.0f}%)")
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.daemon import serve
 
@@ -429,10 +371,9 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             fh.write(report.to_json())
         print(f"wrote {args.out}")
     if args.bench:
-        from repro.perf.bench import (
+        from repro.explore.report import (
             format_explore_report,
             run_explore_bench,
-            write_report,
         )
 
         bench = run_explore_bench(
@@ -448,7 +389,10 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             **source,
         )
         print(format_explore_report(bench))
-        print(f"wrote {write_report(bench, args.bench)}")
+        with open(args.bench, "w", encoding="utf-8") as fh:
+            json.dump(bench, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        print(f"wrote {args.bench}")
         if not bench["matches_single_run"]:
             print("error: cohort best HPWL is worse than the single-run "
                   "baseline", file=sys.stderr)
@@ -557,39 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--no-baseline", action="store_true",
                       help="report every finding, ignoring any baseline file")
     lint.set_defaults(handler=_cmd_lint)
-
-    bench = sub.add_parser(
-        "bench", help="benchmark the hot placement operators"
-    )
-    bench.add_argument("--size", default="tiny",
-                       choices=["tiny", "small", "medium"],
-                       help="synthetic design size (default tiny)")
-    bench.add_argument("--iters", type=int, default=None,
-                       help="measured gradient steps (default per size)")
-    bench.add_argument("--warmup", type=int, default=3,
-                       help="unmeasured warm-up steps (default 3)")
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--out", default="BENCH_operator.json",
-                       help="report path (default BENCH_operator.json)")
-    bench.add_argument("--compare", default=None, metavar="JSON",
-                       help="gate against a previously saved report")
-    bench.add_argument("--threshold", type=float, default=0.25,
-                       help="fractional slowdown considered a regression "
-                            "with --compare (default 0.25)")
-    bench.add_argument("--warm", action="store_true",
-                       help="benchmark warm-worker submit-to-first-"
-                            "iteration latency instead (service layer); "
-                            "writes BENCH_service.json")
-    bench.add_argument("--warm-design", default="fft_1",
-                       help="design for --warm (default fft_1)")
-    bench.add_argument("--warm-cells", type=int, default=120,
-                       help="cell count for --warm (default 120)")
-    bench.add_argument("--warm-repeats", type=int, default=5,
-                       help="measured samples per mode for --warm")
-    bench.add_argument("--warm-start-method", default=None,
-                       choices=["fork", "spawn", "forkserver"],
-                       help="worker start method for --warm")
-    bench.set_defaults(handler=_cmd_bench)
 
     serve = sub.add_parser(
         "serve", help="run the placement daemon (HTTP job API)"

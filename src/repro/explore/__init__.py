@@ -36,7 +36,8 @@ placement runs as schedulable, forkable, comparable units:
     The :class:`~repro.explore.report.ExploreReport` cohort record:
     per-round scores, lineage (who forked whom, with which
     perturbation), culls, and the core-seconds ledger used by the
-    equal-compute comparison in :func:`repro.perf.bench.run_explore_bench`.
+    equal-compute comparison in
+    :func:`~repro.explore.report.run_explore_bench`.
 """
 
 from repro.explore.controller import ExploreConfig, PopulationController

@@ -6,20 +6,23 @@ configuration, every synchronization round (scores, survivors, culls,
 fork assignments with their drawn perturbations), the per-slot lineage
 (which segment jobs each lineage ran, and who forked whom), the
 core-seconds ledger, and the winning member.  The equal-core-seconds
-bench (:func:`repro.perf.bench.run_explore_bench`) embeds it next to
-the single-run baseline in ``BENCH_explore.json``; the determinism CI
-check re-runs a cohort and asserts two reports' trajectories are
-identical.
+bench (:func:`run_explore_bench`, behind ``repro explore --bench``)
+embeds it next to the single-run baseline in ``BENCH_explore.json``;
+the determinism CI check re-runs a cohort and asserts two reports'
+trajectories are identical.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 #: Bump when the report layout changes meaning.
 SCHEMA_VERSION = 1
+#: Likewise for the :func:`run_explore_bench` layout.
+BENCH_SCHEMA_VERSION = 1
 
 
 @dataclass
@@ -127,3 +130,134 @@ class ExploreReport:
                 + ")"
             )
         return "\n".join(lines)
+
+
+def run_explore_bench(
+    design: Optional[str] = "fft_1",
+    aux: Optional[str] = None,
+    cells: Optional[int] = None,
+    scale: float = 0.01,
+    population: int = 4,
+    rounds: int = 2,
+    survivors: int = 2,
+    seed: int = 0,
+    cohort_seed: int = 0,
+    max_iterations: int = 200,
+    min_iterations: int = 20,
+    segment_iters: Optional[int] = None,
+    workers: int = 1,
+    workdir: Optional[str] = None,
+) -> Dict[str, Any]:
+    """Equal-core-seconds comparison: one GP run vs an exploration cohort.
+
+    Both sides run the *same* design, params and GP-only pipeline.  The
+    single run is the do-nothing-clever baseline: one trajectory from
+    ``seed``, terminating at convergence (or the iteration wall) — once
+    converged it cannot productively spend another core-second.  The
+    cohort spends its surplus budget on forked search instead; the
+    ledger records exactly how many core-seconds each side consumed so
+    the comparison is honest about cost, and the gate —
+    ``beats_single_run`` (strict) / ``matches_single_run`` (≤) — is
+    guaranteed never to read false on ``matches``: the elite lineage
+    replays the baseline bit-for-bit, so the cohort's best final HPWL
+    is at most the single run's.
+    """
+    from repro.core.params import PlacementParams
+    from repro.explore.controller import (
+        PIPELINE_FACTORY,
+        ExploreConfig,
+        PopulationController,
+    )
+    from repro.runtime.job import PlacementJob, execute_job
+
+    if aux is not None:
+        design = None
+    params = PlacementParams(max_iterations=max_iterations,
+                             min_iterations=min_iterations, seed=seed)
+    base = PlacementJob(design=design, aux=aux, cells=cells, scale=scale,
+                        params=params)
+
+    single_job = PlacementJob(design=design, aux=aux, cells=cells,
+                              scale=scale, params=params,
+                              pipeline=PIPELINE_FACTORY)
+    single = execute_job(single_job)
+    single_metrics = single.report.metrics if single.report else {}
+
+    config = ExploreConfig(
+        population=population, rounds=rounds, survivors=survivors,
+        seed=cohort_seed, segment_iters=segment_iters, workers=workers,
+    )
+    controller = PopulationController(base, config, workdir=workdir)
+    cohort = controller.run()
+
+    best = cohort.best_hpwl
+    improvement = (
+        (single.hpwl - best) / single.hpwl * 100.0
+        if best is not None and single.hpwl else None
+    )
+    return {
+        "schema": BENCH_SCHEMA_VERSION,
+        "design": design or os.path.basename(aux or "?"),
+        "cells": cells,
+        "scale": scale,
+        "seed": seed,
+        "cohort_seed": cohort_seed,
+        "max_iterations": max_iterations,
+        "single_run": {
+            "hpwl": single.hpwl,
+            "core_seconds": single.seconds,
+            "iterations": single_metrics.get("gp_iterations"),
+            "converged": single_metrics.get("gp_converged"),
+            "job_id": single.job_id,
+        },
+        "population": {
+            "config": cohort.config,
+            "best_hpwl": best,
+            "best_slot": cohort.best_slot,
+            "best_job_id": cohort.best_job_id,
+            "total_core_seconds": cohort.total_core_seconds,
+            "cached_core_seconds": cohort.cached_core_seconds,
+            "forks": cohort.forks,
+            "culls": cohort.culls,
+            "rounds": cohort.rounds,
+            "lineage": cohort.lineage,
+            "budget_stopped": cohort.budget_stopped,
+        },
+        "improvement_pct": improvement,
+        "beats_single_run": (best is not None and single.hpwl is not None
+                             and best < single.hpwl),
+        "matches_single_run": (best is not None and single.hpwl is not None
+                               and best <= single.hpwl),
+    }
+
+
+def _num(value: Optional[float], spec: str) -> str:
+    """``value`` formatted by ``spec``, or ``n/a`` when it is missing."""
+    return "n/a" if value is None else format(value, spec)
+
+
+def format_explore_report(report: Dict[str, Any]) -> str:
+    """Console rendering of one exploration benchmark report.
+
+    A cohort in which no member finished has no best HPWL and no
+    improvement; those print as ``n/a``.
+    """
+    single = report["single_run"]
+    pop = report["population"]
+    config = pop["config"]
+    lines = [
+        f"explore bench {report['design']} (cells={report['cells']}, "
+        f"max_iterations={report['max_iterations']}, seed={report['seed']})",
+        f"  single run:  hpwl={_num(single['hpwl'], '.6g')}  "
+        f"{single['core_seconds']:.2f} core-seconds  "
+        f"({single['iterations']} iters, converged={single['converged']})",
+        f"  population:  best hpwl={_num(pop['best_hpwl'], '.6g')} "
+        f"(slot {pop['best_slot']})  "
+        f"{pop['total_core_seconds']:.2f} core-seconds  "
+        f"(population {config['population']} × {len(pop['rounds'])} rounds, "
+        f"{pop['forks']} forks, {pop['culls']} culls)",
+        f"  improvement: {_num(report['improvement_pct'], '.3f')}%  "
+        f"beats={report['beats_single_run']} "
+        f"matches={report['matches_single_run']}",
+    ]
+    return "\n".join(lines)

@@ -9,8 +9,8 @@ Launch *counts* are always free to record.  Wall-clock *seconds* are
 opt-in (``KernelProfiler(timed=True)``): operators wrap their bodies in
 ``with timed("name"):`` spans, which are a shared ``nullcontext`` —
 no clock reads, no allocation — unless the active profiler asked for
-timing.  ``repro bench`` and the runtime workers turn timing on; the
-bare GP loop keeps the null path.
+timing.  The runtime workers turn timing on; the bare GP loop keeps the
+null path.
 
 Scope caveat: the "active" profiler is **thread-local** state.  It is
 not inherited by new threads, and it is silently absent in worker

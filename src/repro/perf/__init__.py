@@ -1,10 +1,9 @@
-"""Performance layer: the workspace buffer arena and the bench harness.
+"""Performance layer: the workspace buffer arena.
 
 ``Workspace`` (:mod:`repro.perf.workspace`) is the preallocated scratch
-arena the gradient engine threads through the hot operators;
-:mod:`repro.perf.bench` is the ``repro bench`` harness that times those
-operators on sized synthetic designs and gates regressions against a
-saved report.
+arena the gradient engine threads through the hot operators.  The
+operators are timed by the layered benchmark (``bench/run.py``, compared
+with ``bench/compare.py``), not from here.
 """
 
 from repro.perf.workspace import Workspace

@@ -23,8 +23,8 @@ service.  Three layers:
     Warm workers: persistent processes that keep loaded designs
     resident keyed by design hash and share the big netlist arrays via
     ``multiprocessing.shared_memory``, so a repeat-design job skips
-    design generation/parsing entirely.  :mod:`repro.service.bench`
-    measures the submit-to-first-iteration latency win.
+    design generation/parsing entirely.  The ``serve-small`` and
+    ``batch-cold`` workloads of ``bench/run.py`` measure the warm path.
 
 :mod:`repro.service.daemon`
     ``repro serve``: an HTTP daemon (stdlib ``http.server``) exposing

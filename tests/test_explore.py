@@ -28,6 +28,7 @@ from repro.explore import (
     rank_members,
     select_survivors,
 )
+from repro.explore import report as report_mod
 from repro.explore.controller import PIPELINE_FACTORY, segment_schedule
 from repro.explore.perturb import (
     DEFAULT_JITTER_RANGE,
@@ -239,6 +240,34 @@ class TestExploreReport:
         assert "winner: slot 0" in text and "fft_1" in text
 
 
+def all_failed_bench_report():
+    """An explore-bench report whose cohort had no finisher."""
+    return {
+        "schema": 1, "design": "fft_1", "cells": 64, "scale": 0.01,
+        "seed": 0, "cohort_seed": 0, "max_iterations": 30,
+        "single_run": {"hpwl": 5.0, "core_seconds": 0.5, "iterations": 30,
+                       "converged": False, "job_id": "j0"},
+        "population": {
+            "config": {"population": 2}, "best_hpwl": None,
+            "best_slot": None, "best_job_id": None,
+            "total_core_seconds": 0.0, "cached_core_seconds": 0.0,
+            "forks": 0, "culls": 0, "rounds": [], "lineage": {},
+            "budget_stopped": False,
+        },
+        "improvement_pct": None,
+        "beats_single_run": False,
+        "matches_single_run": False,
+    }
+
+
+class TestExploreBenchReport:
+    def test_format_all_failed_cohort(self):
+        text = report_mod.format_explore_report(all_failed_bench_report())
+        assert "best hpwl=n/a" in text
+        assert "improvement: n/a%" in text
+        assert "matches=False" in text
+
+
 # ---------------------------------------------------------------------
 # integration: real GP cohorts
 # ---------------------------------------------------------------------
@@ -409,3 +438,27 @@ class TestCheckpointTelemetry:
         result = execute_job(make_base())
         assert result.ok
         assert "gp_checkpoint_stats" not in result.report.metrics
+
+
+class TestExploreBenchCLI:
+    ARGS = ["explore", "fft_1", "--cells", "64", "--population", "2",
+            "--rounds", "1", "--survivors", "1", "--max-iterations", "30",
+            "--no-cache", "--bench"]
+
+    def test_bench_writes_report(self, tmp_path):
+        from repro.cli import main
+
+        out = str(tmp_path / "BENCH_explore.json")
+        assert main(self.ARGS + [out]) == 0
+        with open(out, encoding="utf-8") as fh:
+            bench = json.load(fh)
+        assert bench["matches_single_run"] is True
+        assert {"single_run", "population"} <= set(bench)
+
+    def test_all_failed_cohort_exits_1(self, tmp_path, monkeypatch, capsys):
+        from repro.cli import main
+
+        monkeypatch.setattr(report_mod, "run_explore_bench",
+                            lambda **_: all_failed_bench_report())
+        assert main(self.ARGS + [str(tmp_path / "b.json")]) == 1
+        assert "worse than the single-run baseline" in capsys.readouterr().err

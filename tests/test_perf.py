@@ -1,4 +1,4 @@
-"""Tests for the performance layer: Workspace arena, hot operators, bench.
+"""Tests for the performance layer: Workspace arena, hot operators.
 
 Every hot operator has one implementation, the arena path.  It is
 checked against the independent references — ``rasterize_exact``,
@@ -7,7 +7,7 @@ checked against the independent references — ``rasterize_exact``,
 trajectory.  Arena reuse and the structural fusions (shared incidence
 handles, paired gathers) must not change a single bit, no result may
 alias an arena buffer, and the steady-state hot loop must perform zero
-new arena allocations.  The ``repro bench`` harness is tested end to end.
+new arena allocations.
 """
 
 import json
@@ -31,7 +31,6 @@ from repro.dtypes import FLOAT, INT
 from repro.netlist import PlacementRegion
 from repro.netlist.builder import NetlistBuilder
 from repro.perf import Workspace
-from repro.perf import bench as bench_mod
 from repro.wirelength import WirelengthOp
 from repro.wirelength.wa_autograd import AutogradWirelengthOp
 
@@ -537,14 +536,20 @@ class TestSanitizedAndGradcheck:
             disable()
 
 
+def _step(engine, pos_x, pos_y, gamma, lam, iteration):
+    """One combined gradient step: compute + assemble."""
+    result = engine.compute(iteration, pos_x, pos_y, gamma, lam)
+    engine.assemble(result, pos_x, pos_y, lam)
+
+
 def _assert_steady_state(engine, pos_x, pos_y, gamma, lam):
     ws = engine.workspace
     for i in range(3):  # warm the arena
-        bench_mod._step(engine, pos_x, pos_y, gamma, lam, i)
+        _step(engine, pos_x, pos_y, gamma, lam, i)
     buffers = ws.num_buffers
     ws.reset_counters()
     for i in range(10):  # steady state: hits only
-        bench_mod._step(engine, pos_x, pos_y, gamma, lam, 3 + i)
+        _step(engine, pos_x, pos_y, gamma, lam, 3 + i)
     assert ws.misses == 0 and ws.hits > 0
     assert ws.num_buffers == buffers
     assert ws.stats()["hit_rate"] == 1.0
@@ -552,7 +557,22 @@ def _assert_steady_state(engine, pos_x, pos_y, gamma, lam):
 
 class TestArenaSteadyState:
     def test_no_new_allocations_after_warmup(self, netlist):
-        _assert_steady_state(*bench_mod._build(netlist, seed=0))
+        # operator_skipping off: every step pays the full wirelength +
+        # density cost, so every hot buffer is exercised.
+        params = PlacementParams(operator_skipping=False)
+        density = DensitySystem(
+            netlist, target_density=params.target_density,
+            extraction=params.density_extraction,
+            rng=np.random.default_rng(1),
+        )
+        engine = GradientEngine(netlist, density, params)
+        x0, y0 = initial_positions(netlist, rng=np.random.default_rng(0))
+        mov = netlist.movable_index
+        pos_x = np.concatenate([x0[mov], density.fillers.x])
+        pos_y = np.concatenate([y0[mov], density.fillers.y])
+        bin_size = min(density.grid.bin_w, density.grid.bin_h)
+        gamma = params.gamma(1.0, bin_size)  # iteration-0 smoothing
+        _assert_steady_state(engine, pos_x, pos_y, gamma, 1e-4)
 
     def test_no_new_allocations_after_warmup_multi_fence(self, fenced):
         params = PlacementParams(fence_mode="multi", operator_skipping=False)
@@ -580,101 +600,3 @@ class TestArenaSteadyState:
             for seed in (1, 2, 3):
                 system.evaluate(*placement(design, seed))
             assert ws.misses == 0 and ws.hits > 0
-
-
-class TestBench:
-    @pytest.fixture(scope="class")
-    def report(self):
-        return bench_mod.run_bench("tiny", iters=2, warmup=1)
-
-    def test_report_structure(self, report):
-        assert report["schema"] == bench_mod.SCHEMA_VERSION
-        assert report["size"] == "tiny" and report["iters"] == 2
-        assert set(report["operator_seconds"]) == set(bench_mod.OPERATORS)
-        peaks = report["operator_peak_temp_bytes"]
-        assert all(peaks[op] >= 0 for op in bench_mod.OPERATORS)
-        assert report["step_seconds_median"] > 0
-
-    def test_arena_steady_state_in_report(self, report):
-        arena = report["arena"]
-        assert arena["hit_rate"] == 1.0 and arena["misses"] == 0
-
-    def test_write_load_roundtrip(self, report, tmp_path):
-        path = bench_mod.write_report(report, str(tmp_path / "b.json"))
-        assert bench_mod.load_report(path) == json.loads(
-            json.dumps(report)
-        )
-
-    def test_compare_no_regressions_vs_self(self, report):
-        assert bench_mod.compare_reports(report, report) == []
-
-    def test_compare_flags_step_regression(self, report):
-        old = json.loads(json.dumps(report))
-        old["step_seconds_median"] /= 10.0
-        problems = bench_mod.compare_reports(report, old)
-        assert any("step seconds" in p for p in problems)
-
-    def test_compare_flags_operator_regression(self, report):
-        old = json.loads(json.dumps(report))
-        old["operator_seconds"]["wirelength"] /= 10.0
-        problems = bench_mod.compare_reports(report, old)
-        assert any("wirelength regressed" in p for p in problems)
-
-    def test_compare_flags_size_mismatch(self, report):
-        old = json.loads(json.dumps(report))
-        old["size"] = "medium"
-        problems = bench_mod.compare_reports(report, old)
-        assert len(problems) == 1 and "size mismatch" in problems[0]
-
-    def test_compare_flags_schema_mismatch(self, report):
-        old = {"schema": 1, "size": report["size"], "modes": {}}
-        problems = bench_mod.compare_reports(report, old)
-        assert len(problems) == 1 and "schema mismatch" in problems[0]
-
-    def test_unknown_size_rejected(self):
-        with pytest.raises(ValueError, match="unknown bench size"):
-            bench_mod.run_bench("galactic")
-
-    def test_format_report(self, report):
-        text = bench_mod.format_report(report)
-        assert "step median" in text
-        for op in bench_mod.OPERATORS:
-            assert op in text
-        assert "arena:" in text and "0 misses" in text
-
-
-class TestBenchCLI:
-    def test_bench_writes_report_and_compares(self, tmp_path, capsys):
-        from repro.cli import main
-
-        out = str(tmp_path / "BENCH_operator.json")
-        assert main(["bench", "--size", "tiny", "--iters", "1",
-                     "--warmup", "1", "--out", out]) == 0
-        report = bench_mod.load_report(out)
-        assert report["arena"]["misses"] == 0
-        assert "wrote" in capsys.readouterr().out
-
-        # Self-compare: a fresh run against the saved report with a huge
-        # threshold cannot regress.
-        out2 = str(tmp_path / "second.json")
-        assert main(["bench", "--size", "tiny", "--iters", "1",
-                     "--warmup", "1", "--out", out2,
-                     "--compare", out, "--threshold", "50"]) == 0
-        assert "no regressions" in capsys.readouterr().out
-
-        # A doctored baseline 1000x faster must trip the gate.
-        report["step_seconds_median"] /= 1000.0
-        report["step_seconds_mean"] /= 1000.0
-        fast = str(tmp_path / "fast.json")
-        bench_mod.write_report(report, fast)
-        assert main(["bench", "--size", "tiny", "--iters", "1",
-                     "--warmup", "1", "--out", out2,
-                     "--compare", fast]) == 1
-
-    def test_compare_missing_file_is_usage_error(self, tmp_path):
-        from repro.cli import main
-
-        out = str(tmp_path / "r.json")
-        assert main(["bench", "--size", "tiny", "--iters", "1",
-                     "--warmup", "1", "--out", out,
-                     "--compare", str(tmp_path / "nope.json")]) == 2
