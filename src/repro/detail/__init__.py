@@ -11,7 +11,10 @@ engine) in simplified sequential form:
   mutually net-disjoint, same-width cells via bipartite matching.
 
 :class:`DetailedPlacer` runs passes of these operators until HPWL stops
-improving; it both requires and preserves legality.
+improving; it both requires and preserves legality.  Moves are applied
+one at a time, but each decision scores all of its candidates in one
+batched gather + segment reduction, with the same decisions as scoring
+them one by one.
 """
 
 from repro.detail.rows import PlacementRows

@@ -23,8 +23,16 @@ class PlacementRows:
         self.space: RowSpace = self._build_space(netlist)
         self.x = x.copy()
         self.y = y.copy()
-        # cell -> (row, segment); segment cell lists sorted by x.
+        self._row_centers = np.array(
+            [self.space.row_center_y(r) for r in range(self.space.num_rows)]
+        )
+        # cell -> (row, segment), also as per-cell arrays (-1: not placed
+        # in a row) for vectorized queries; segment cell lists sorted by x.
         self.cell_slot: Dict[int, Tuple[int, int]] = {}
+        self.row_of = np.full(netlist.num_cells, -1, dtype=np.int64)
+        self.seg_of = np.full(netlist.num_cells, -1, dtype=np.int64)
+        # Movable cells grouped by row, rebuilt lazily after a row change.
+        self._by_row: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self.members: List[List[List[int]]] = [
             [[] for __ in row_segs] for row_segs in self.space.segments
         ]
@@ -69,7 +77,7 @@ class PlacementRows:
                     f"cell {netlist.cell_name[cell]} lies outside every free "
                     f"segment of row {row_i}; run legalization first"
                 )
-            self.cell_slot[cell] = (row_i, seg_i)
+            self.set_slot(cell, (row_i, seg_i))
             self.members[row_i][seg_i].append(cell)
         for row_segs in self.members:
             for cells in row_segs:
@@ -80,6 +88,12 @@ class PlacementRows:
             if seg.xl - 1e-6 <= x_center <= seg.xh + 1e-6:
                 return seg_i
         return None
+
+    def set_slot(self, cell: int, slot: Tuple[int, int]) -> None:
+        """Record ``cell``'s (row, segment); members are the caller's."""
+        self.cell_slot[cell] = slot
+        self.row_of[cell], self.seg_of[cell] = slot
+        self._by_row = None
 
     # ------------------------------------------------------------------
     def span(self, cell: int) -> Tuple[float, float]:
@@ -113,7 +127,7 @@ class PlacementRows:
         self.y[cell] = (
             self.space.rows[row_i].y + self.netlist.cell_h[cell] / 2
         )
-        self.cell_slot[cell] = (row_i, seg_i)
+        self.set_slot(cell, (row_i, seg_i))
         cells = self.members[row_i][seg_i]
         lo, hi = 0, len(cells)
         while lo < hi:
@@ -123,23 +137,6 @@ class PlacementRows:
             else:
                 hi = mid
         cells.insert(lo, cell)
-
-    def swap_positions(self, a: int, b: int) -> None:
-        """Exchange two cells' (x, row) placements (widths may differ as
-        long as both spans fit, which the caller has verified)."""
-        ax, ay = self.x[a], self.y[a]
-        bx, by = self.x[b], self.y[b]
-        slot_a = self.cell_slot[a]
-        slot_b = self.cell_slot[b]
-        # Remove both, then re-insert at exchanged coordinates.
-        self.members[slot_a[0]][slot_a[1]].remove(a)
-        self.members[slot_b[0]][slot_b[1]].remove(b)
-        self.x[a], self.y[a] = bx, self.space.rows[slot_b[0]].y + self.netlist.cell_h[a] / 2
-        self.x[b], self.y[b] = ax, self.space.rows[slot_a[0]].y + self.netlist.cell_h[b] / 2
-        self.cell_slot[a] = slot_b
-        self.cell_slot[b] = slot_a
-        self._sorted_insert(slot_b, a)
-        self._sorted_insert(slot_a, b)
 
     def _sorted_insert(self, slot: Tuple[int, int], cell: int) -> None:
         cells = self.members[slot[0]][slot[1]]
@@ -161,16 +158,23 @@ class PlacementRows:
                 for start in range(0, len(cells) - size + 1):
                     yield row_i, seg_i, cells[start : start + size]
 
-    def cells_near(self, x: float, y: float, radius_rows: int, radius_x: float):
-        """Movable cells within a row/x window around (x, y)."""
-        row_i = self.space.nearest_row(y)
-        result = []
-        for r in range(
-            max(0, row_i - radius_rows),
-            min(self.space.num_rows, row_i + radius_rows + 1),
-        ):
-            for cells in self.members[r]:
-                for cell in cells:
-                    if abs(self.x[cell] - x) <= radius_x:
-                        result.append(cell)
-        return result
+    def cells_near(
+        self, x: float, y: float, radius_rows: int, radius_x: float
+    ) -> np.ndarray:
+        """Movable cells within a row/x window around (x, y), ordered by
+        row, then segment, then x."""
+        if self._by_row is None:
+            cells = self.netlist.movable_index
+            cells = cells[np.argsort(self.row_of[cells], kind="stable")]
+            bounds = np.searchsorted(
+                self.row_of[cells], np.arange(self.space.num_rows + 1)
+            )
+            self._by_row = (cells, bounds)
+        cells, bounds = self._by_row
+        row_i = int(np.argmin(np.abs(self._row_centers - y)))
+        lo = bounds[max(0, row_i - radius_rows)]
+        hi = bounds[min(self.space.num_rows, row_i + radius_rows + 1)]
+        near = cells[lo:hi]
+        near = near[np.abs(self.x[near] - x) <= radius_x]
+        order = np.lexsort((self.x[near], self.seg_of[near], self.row_of[near]))
+        return near[order]

@@ -42,11 +42,6 @@ class RowSpace:
         row = self.rows[row_index]
         return row.y + row.height / 2
 
-    def nearest_row(self, y_center: float) -> int:
-        """Row whose center is closest to ``y_center``."""
-        centers = np.array([r.y + r.height / 2 for r in self.rows])
-        return int(np.argmin(np.abs(centers - y_center)))
-
     def snap_x(self, x_left: float) -> float:
         """Snap a left edge onto the site grid (floor)."""
         origin = self.rows[0].xl if self.rows else 0.0

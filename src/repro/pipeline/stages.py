@@ -229,6 +229,7 @@ class DetailStage(Stage):
         metrics: Dict[str, Any] = {
             "dp_hpwl": dp.hpwl_after,
             "dp_moves": dp.moves_applied,
+            **{f"dp_moves_{op}": n for op, n in dp.moves_by_operator.items()},
         }
         if self.check:
             ctx.legality = check_legal(ctx.netlist, dp.x, dp.y)

@@ -7,7 +7,9 @@ from repro.benchgen import CircuitSpec, generate_circuit
 from repro.core import PlacementParams, XPlacer
 from repro.detail import DetailedPlacer, PlacementRows
 from repro.legalize import AbacusLegalizer, check_legal
-from repro.wirelength import hpwl
+from repro.netlist import PlacementRegion
+from repro.netlist.builder import NetlistBuilder
+from repro.wirelength import hpwl, hpwl_per_net
 
 
 @pytest.fixture(scope="module")
@@ -109,13 +111,52 @@ class TestDetailedPlacer:
         np.testing.assert_array_equal(result.x, lx)
         assert result.hpwl_after == result.hpwl_before
 
-    def test_nets_hpwl_matches_global(self, legal_placement):
-        nl, lx, ly = legal_placement
+    def test_trial_hpwl_matches_reference(self):
+        """The batched scorer against an independent reference: copy the
+        positions, apply one trial's moves, sum the weighted per-net HPWL
+        over the trial's nets."""
+        rng = np.random.default_rng(7)
+        builder = NetlistBuilder("scorer")
+        builder.set_region(PlacementRegion(0, 0, 100, 100))
+        for c in range(40):
+            builder.add_cell(f"c{c}", 1 + rng.random(), 1.0)
+        for e in range(60):
+            degree = [0, 1, 2, 3, 5, 9][e % 6]
+            pins = [
+                (int(c), rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+                for c in rng.integers(0, 40, degree)
+            ]
+            builder.add_net(f"n{e}", pins, weight=rng.uniform(0.5, 2.0))
+        nl = builder.build()
+        x = rng.uniform(0, 100, nl.num_cells)
+        y = rng.uniform(0, 100, nl.num_cells)
         dp = DetailedPlacer(nl)
-        all_nets = np.arange(nl.num_nets)
-        assert dp._nets_hpwl(all_nets, lx, ly) == pytest.approx(
-            hpwl(nl, lx, ly), rel=1e-9
-        )
+        for __ in range(20):
+            # The last trial of each batch has no nets at all.
+            nets = [
+                np.unique(rng.integers(0, nl.num_nets, rng.integers(1, 12)))
+                for __ in range(int(rng.integers(1, 9)))
+            ] + [np.empty(0, dtype=np.int64)]
+            trials = len(nets)
+            moved = np.full((trials, 3), -1)
+            for t in range(trials):
+                k = int(rng.integers(1, 4))
+                moved[t, :k] = rng.choice(nl.num_cells, k, replace=False)
+            mx = rng.uniform(0, 100, (trials, 3))
+            my = rng.uniform(0, 100, (trials, 3))
+            got = dp._trial_hpwl(
+                np.concatenate(nets),
+                np.array([len(n) for n in nets]),
+                moved, mx, my, x, y,
+            )
+            for t in range(trials):
+                tx, ty = x.copy(), y.copy()
+                cells = moved[t] >= 0
+                tx[moved[t, cells]] = mx[t, cells]
+                ty[moved[t, cells]] = my[t, cells]
+                per_net = hpwl_per_net(nl, tx, ty) * nl.net_weight
+                expected = float(per_net[nets[t]].sum())
+                assert got[t] == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_nets_of_returns_sorted_unique(self, legal_placement):
         nl, __, __ = legal_placement

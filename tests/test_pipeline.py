@@ -191,6 +191,14 @@ class TestStandardFlowRegression:
         assert piped.dp_hpwl == dp.hpwl_after
         assert piped.legal == report.legal
 
+    def test_dp_moves_by_operator(self, handrolled, piped):
+        __, __, dp, __ = handrolled
+        metrics = piped.report.stage("dp").metrics
+        by_operator = [metrics[f"dp_moves_{op}"] for op in ("reorder", "swap", "ism")]
+        assert by_operator == [dp.moves_by_operator[op]
+                               for op in ("reorder", "swap", "ism")]
+        assert sum(by_operator) == metrics["dp_moves"] == dp.moves_applied
+
     def test_positions_unchanged(self, handrolled, piped):
         __, __, dp, __ = handrolled
         np.testing.assert_array_equal(piped.x, dp.x)
