@@ -9,7 +9,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autograd.tensor import Function, Tensor
-from repro.wirelength.segments import segment_sum as _np_segment_sum
+from repro.wirelength.segments import (
+    expand_pin2net,
+    segment_sum as _np_segment_sum,
+)
 
 
 class GatherCells(Function):
@@ -35,18 +38,18 @@ class GatherCells(Function):
 
 class SegmentSum(Function):
     """Per-net sum over the pin-grouped CSR layout; backward broadcasts
-    each net's gradient back to its pins."""
+    each net's gradient back to its pins (``grad[pin2net]``)."""
 
     @staticmethod
-    def forward(ctx, pin_values, net_start):
-        ctx.meta["net_start"] = net_start
-        return _np_segment_sum(pin_values, net_start)
+    def forward(ctx, pin_values, net_start, pin2net):
+        if pin2net is None:
+            pin2net = expand_pin2net(net_start)
+        ctx.meta["pin2net"] = pin2net
+        return _np_segment_sum(pin_values, net_start, pin2net)
 
     @staticmethod
     def backward(ctx, grad):
-        net_start = ctx.meta["net_start"]
-        degrees = np.diff(net_start)
-        return np.repeat(grad, degrees), None
+        return grad[ctx.meta["pin2net"]], None, None
 
 
 def gather_cells(
@@ -56,6 +59,9 @@ def gather_cells(
     return GatherCells.apply(cell_values, pin2cell, offset)
 
 
-def segment_sum(pin_values: Tensor, net_start: np.ndarray) -> Tensor:
-    """Differentiable per-net sum."""
-    return SegmentSum.apply(pin_values, net_start)
+def segment_sum(
+    pin_values: Tensor, net_start: np.ndarray, pin2net: np.ndarray = None
+) -> Tensor:
+    """Differentiable per-net sum (``pin2net`` defaults to the CSR
+    expansion of ``net_start``)."""
+    return SegmentSum.apply(pin_values, net_start, pin2net)

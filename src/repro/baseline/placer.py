@@ -7,7 +7,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.autograd import Tensor, gather_cells, segment_sum
+from repro.autograd import Tensor
 from repro.autograd.tensor import Context, Function
 from repro.core.callbacks import (
     CallbackList,
@@ -27,7 +27,7 @@ from repro.density import BinGrid, DensitySystem
 from repro.netlist import Netlist
 from repro.optim import NesterovOptimizer, Preconditioner
 from repro.wirelength import hpwl as hpwl_op
-from repro.wirelength.segments import segment_max, segment_min
+from repro.wirelength.wa_autograd import wa_axis
 
 
 class _ElectricEnergy(Function):
@@ -108,29 +108,6 @@ class DreamPlaceStyleBaseline:
         self._adapter = _DensityAdapter(netlist, self.density)
         self.preconditioner = Preconditioner(netlist, self.density.fillers)
         self._rng = rng
-        nl = netlist
-        self._net_weights = nl.net_weight * nl.net_mask
-        # Denominator guard for empty nets in the autograd WA graph.
-        self._empty_guard = (~nl.net_mask).astype(np.float64)
-
-    # ------------------------------------------------------------------
-    def _wa_axis_autograd(self, pos: Tensor, axis_offsets: np.ndarray, gamma: float):
-        """Stable WA wirelength along one axis as a fine-grained op graph."""
-        nl = self.netlist
-        pins = gather_cells(pos, nl.pin2cell, axis_offsets)
-        # Shifts come from a detached (non-differentiated) reduction, the
-        # standard envelope treatment.
-        net_max = segment_max(pins.data, nl.net_start)
-        net_min = segment_min(pins.data, nl.net_start)
-        inv_gamma = 1.0 / gamma
-        ep = ((pins - net_max[nl.pin2net]) * inv_gamma).exp()
-        em = ((Tensor(net_min[nl.pin2net]) - pins) * inv_gamma).exp()
-        cp = segment_sum(ep, nl.net_start) + self._empty_guard
-        cm = segment_sum(em, nl.net_start) + self._empty_guard
-        dp = segment_sum(pins * ep, nl.net_start)
-        dm = segment_sum(pins * em, nl.net_start)
-        per_net = dp / cp - dm / cm
-        return (Tensor(self._net_weights) * per_net).sum()
 
     # ------------------------------------------------------------------
     def run(
@@ -190,8 +167,8 @@ class DreamPlaceStyleBaseline:
             cell_x = _scatter_movable(tx, full_x, mov, nm)
             cell_y = _scatter_movable(ty, full_y, mov, nm)
 
-            wa_x = self._wa_axis_autograd(cell_x, netlist.pin_dx, scheduler.gamma)
-            wa_y = self._wa_axis_autograd(cell_y, netlist.pin_dy, scheduler.gamma)
+            wa_x = wa_axis(netlist, cell_x, netlist.pin_dx, scheduler.gamma)
+            wa_y = wa_axis(netlist, cell_y, netlist.pin_dy, scheduler.gamma)
             wa = wa_x + wa_y
             energy = _ElectricEnergy.apply(tx, ty, self._adapter)
 

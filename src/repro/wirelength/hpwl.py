@@ -11,9 +11,14 @@ from repro.wirelength.segments import segment_max, segment_min
 def hpwl_per_net(netlist: Netlist, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Unweighted HPWL of every net (0 for nets with <2 pins)."""
     px, py = netlist.pin_positions(x, y)
-    spans_x = segment_max(px, netlist.net_start) - segment_min(px, netlist.net_start)
-    spans_y = segment_max(py, netlist.net_start) - segment_min(py, netlist.net_start)
-    spans = spans_x + spans_y
+    net_start, pin2net = netlist.net_start, netlist.pin2net
+    spans = (
+        segment_max(px, net_start, pin2net)
+        - segment_min(px, net_start, pin2net)
+    ) + (
+        segment_max(py, net_start, pin2net)
+        - segment_min(py, net_start, pin2net)
+    )
     return np.where(netlist.net_mask, spans, 0.0)
 
 

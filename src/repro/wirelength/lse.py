@@ -31,13 +31,13 @@ def lse_wirelength(
 def _lse_axis(pin_pos: np.ndarray, netlist: Netlist, gamma: float) -> float:
     net_start = netlist.net_start
     pin2net = netlist.pin2net
-    net_max = segment_max(pin_pos, net_start)
-    net_min = segment_min(pin_pos, net_start)
+    net_max = segment_max(pin_pos, net_start, pin2net)
+    net_min = segment_min(pin_pos, net_start, pin2net)
     profiled("lse_exp", 2)
     exp_plus = np.exp((pin_pos - net_max[pin2net]) / gamma)
     exp_minus = np.exp((net_min[pin2net] - pin_pos) / gamma)
-    sum_plus = segment_sum(exp_plus, net_start)
-    sum_minus = segment_sum(exp_minus, net_start)
+    sum_plus = segment_sum(exp_plus, net_start, pin2net)
+    sum_minus = segment_sum(exp_minus, net_start, pin2net)
     safe_plus = np.where(sum_plus > 0, sum_plus, 1.0)
     safe_minus = np.where(sum_minus > 0, sum_minus, 1.0)
     per_net = (

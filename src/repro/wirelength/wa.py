@@ -12,13 +12,23 @@ matching the ePlace/DREAMPlace gradient.  Per net, the WA gradient entries
 sum to zero (a property test checks this), so spread-out nets feel no net
 translation force.
 
-All temporaries live in the operator's
+Everything per net is folded into net-length coefficients before it
+meets the pins: the shifts max/γ and min/γ, the quotients WA± = d±/c±
+and the factors w/c± (net weight over exponential sum).  Each gradient
+direction is then one gather-add-multiply chain,
+``g+_k = e+_k (w/c+) (x_k/γ + 1 − WA+/γ)`` and likewise for ``g-``.
+Per-net reductions are keyed by ``pin2net`` (``ufunc.at`` for max/min,
+``np.bincount`` for sums; see :mod:`repro.wirelength.segments`).
+
+Pin- and net-length temporaries live in the operator's
 :class:`~repro.perf.workspace.Workspace` arena (``wa.*`` buffers) and
-every ufunc writes through ``out=``, so the steady-state loop performs
-zero allocations for them.  The x and y axes deliberately share one
+every elementwise ufunc writes through ``out=``, so the steady-state
+loop takes no arena misses.  Gathers use ``np.take(..., mode="clip")``:
+the netlist's indices are in range by construction, and the default
+``mode="raise"`` copies through a buffer whenever ``out=`` is given.  The x and y axes deliberately share one
 buffer set — the x-axis pin gradient is scattered onto cells before
-the y-axis reuses its arena slots.  The returned gradients come from
-``np.bincount`` and never alias the arena.
+the y-axis reuses its arena slots.  The per-net sums and the returned
+gradients come from ``np.bincount`` and never alias the arena.
 """
 
 from __future__ import annotations
@@ -28,12 +38,12 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.dtypes import BOOL
+from repro.dtypes import FLOAT
 from repro.netlist import Netlist
 from repro.ops import profiled, timed
 from repro.perf.workspace import Workspace
 from repro.wirelength.segments import (
-    _safe_starts,
+    first_pins,
     scatter_to_cells,
     segment_max,
     segment_min,
@@ -71,16 +81,14 @@ class WirelengthOp:
         self.combined = combined
         self.workspace = Workspace()
         self._weights = netlist.net_weight * netlist.net_mask
-        # Loop-invariant per-pin weights and mask, hoisted out of the
-        # per-axis pass.
-        self._pin_weights = self._weights[netlist.pin2net]
         self._unmask = ~netlist.net_mask
         self._any_unmask = bool(np.any(self._unmask))
         num_pins = int(netlist.pin2net.shape[0])
         self._num_pins = num_pins
         self._num_nets = len(netlist.net_start) - 1
-        self._starts = _safe_starts(netlist.net_start, num_pins)
-        self._empty = np.diff(netlist.net_start) == 0
+        self._starts = first_pins(netlist.net_start, num_pins)
+        # 1.0 on empty nets: their exponential sums are 0.
+        self._empty_guard = (netlist.net_degree == 0).astype(FLOAT)
 
     def attach_workspace(self, workspace: Workspace) -> None:
         """Run the operator on ``workspace`` from now on."""
@@ -94,9 +102,9 @@ class WirelengthOp:
             ws = self.workspace
             px = ws.get("wa.px", self._num_pins)
             py = ws.get("wa.py", self._num_pins)
-            np.take(x, netlist.pin2cell, out=px)
+            np.take(x, netlist.pin2cell, out=px, mode="clip")
             np.add(px, netlist.pin_dx, out=px)
-            np.take(y, netlist.pin2cell, out=py)
+            np.take(y, netlist.pin2cell, out=py, mode="clip")
             np.add(py, netlist.pin_dy, out=py)
             profiled("pin_positions", 2)
 
@@ -141,13 +149,14 @@ class WirelengthOp:
         nn = self._num_nets
         npin = self._num_pins
         starts = self._starts
-        empty = self._empty
 
         net_max = segment_max(
-            pin_pos, net_start, out=ws.get("wa.net_max", nn), starts=starts
+            pin_pos, net_start, pin2net,
+            out=ws.get("wa.net_max", nn), starts=starts,
         )
         net_min = segment_min(
-            pin_pos, net_start, out=ws.get("wa.net_min", nn), starts=starts
+            pin_pos, net_start, pin2net,
+            out=ws.get("wa.net_min", nn), starts=starts,
         )
 
         spans = ws.get("wa.spans", nn)
@@ -156,103 +165,84 @@ class WirelengthOp:
         else:
             # "OC off": an independent HPWL kernel recomputes the reductions.
             hmax = segment_max(
-                pin_pos, net_start, out=ws.get("wa.hmax", nn), starts=starts
+                pin_pos, net_start, pin2net,
+                out=ws.get("wa.hmax", nn), starts=starts,
             )
             hmin = segment_min(
-                pin_pos, net_start, out=ws.get("wa.hmin", nn), starts=starts
+                pin_pos, net_start, pin2net,
+                out=ws.get("wa.hmin", nn), starts=starts,
             )
             np.subtract(hmax, hmin, out=spans)
         hpwl_total = self._masked_weighted_sum(spans)
 
+        # Exponents x/γ − max/γ and min/γ − x/γ: the shifts are scaled at
+        # net length, so the pins pay one scale for both directions.  The
+        # extreme pin's term is exactly exp(0) = 1, so c± ≥ 1 on every
+        # non-empty net.
         profiled("wa_exp", 2)
+        inv_gamma = 1.0 / gamma
+        scaled = ws.get("wa.scaled", npin)
+        np.multiply(pin_pos, inv_gamma, out=scaled)
+        shift = ws.get("wa.shift", nn)
         gat = ws.get("wa.gat", npin)
         exp_plus = ws.get("wa.exp_plus", npin)
-        np.take(net_max, pin2net, out=gat)
-        np.subtract(pin_pos, gat, out=exp_plus)
-        np.divide(exp_plus, gamma, out=exp_plus)
+        np.multiply(net_max, inv_gamma, out=shift)
+        np.take(shift, pin2net, out=gat, mode="clip")
+        np.subtract(scaled, gat, out=exp_plus)
         np.exp(exp_plus, out=exp_plus)
         exp_minus = ws.get("wa.exp_minus", npin)
-        np.take(net_min, pin2net, out=gat)
-        np.subtract(gat, pin_pos, out=exp_minus)
-        np.divide(exp_minus, gamma, out=exp_minus)
+        np.multiply(net_min, inv_gamma, out=shift)
+        np.take(shift, pin2net, out=gat, mode="clip")
+        np.subtract(gat, scaled, out=exp_minus)
         np.exp(exp_minus, out=exp_minus)
 
+        # c± = Σ e±, d± = Σ x·e± (bincount: empty nets sum to 0; the
+        # guard turns their c± into 1 so the quotients stay finite).
         xe = ws.get("wa.xe", npin)
-        sum_plus = segment_sum(
-            exp_plus, net_start, out=ws.get("wa.sum_plus", nn),
-            starts=starts, empty=empty,
-        )
-        sum_minus = segment_sum(
-            exp_minus, net_start, out=ws.get("wa.sum_minus", nn),
-            starts=starts, empty=empty,
-        )
+        sum_plus = segment_sum(exp_plus, net_start, pin2net)
+        sum_minus = segment_sum(exp_minus, net_start, pin2net)
+        np.add(sum_plus, self._empty_guard, out=sum_plus)
+        np.add(sum_minus, self._empty_guard, out=sum_minus)
         np.multiply(pin_pos, exp_plus, out=xe)
-        sum_xplus = segment_sum(
-            xe, net_start, out=ws.get("wa.sum_xplus", nn),
-            starts=starts, empty=empty,
-        )
+        wa_plus = segment_sum(xe, net_start, pin2net)
         np.multiply(pin_pos, exp_minus, out=xe)
-        sum_xminus = segment_sum(
-            xe, net_start, out=ws.get("wa.sum_xminus", nn),
-            starts=starts, empty=empty,
-        )
-
-        # safe_* = where(sum_* > 0, sum_*, 1.0), spelled as copy + select
-        # on the negated predicate so NaN handling matches np.where.
-        nmask = ws.get("wa.nmask", nn, BOOL)
-        safe_plus = ws.get("wa.safe_plus", nn)
-        np.copyto(safe_plus, sum_plus)
-        np.greater(sum_plus, 0.0, out=nmask)
-        np.logical_not(nmask, out=nmask)
-        safe_plus[nmask] = 1.0
-        safe_minus = ws.get("wa.safe_minus", nn)
-        np.copyto(safe_minus, sum_minus)
-        np.greater(sum_minus, 0.0, out=nmask)
-        np.logical_not(nmask, out=nmask)
-        safe_minus[nmask] = 1.0
+        wa_minus = segment_sum(xe, net_start, pin2net)
+        np.divide(wa_plus, sum_plus, out=wa_plus)
+        np.divide(wa_minus, sum_minus, out=wa_minus)
 
         per_net = ws.get("wa.per_net", nn)
-        tnet = ws.get("wa.tnet", nn)
-        np.divide(sum_xplus, safe_plus, out=per_net)
-        np.divide(sum_xminus, safe_minus, out=tnet)
-        np.subtract(per_net, tnet, out=per_net)
+        np.subtract(wa_plus, wa_minus, out=per_net)
         wa_total = self._masked_weighted_sum(per_net)
 
-        # Per-pin gradient (shift treated as constant):
-        #   d(WA+)/dx_k = b+_k [ (1 + x_k/γ) c+  - d+/γ ] / c+²
-        #   d(WA-)/dx_k = b-_k [ (1 - x_k/γ) c-  + d-/γ ] / c-²
+        # Per-pin gradient (shift treated as constant), with per-net
+        # coefficients q± = w/c± and b± = 1 ∓ WA±/γ:
+        #   d(WA+)/dx_k = e+_k q+ (1 + (x_k − WA+)/γ) = e+_k q+ (x_k/γ + b+)
+        #   d(WA-)/dx_k = e-_k q- (1 − (x_k − WA-)/γ) = e-_k q- (b- − x_k/γ)
         profiled("wa_grad", 2)
-        inv_gamma = 1.0 / gamma
-        pt = ws.get("wa.pt", npin)
-        pc = ws.get("wa.pc", npin)
-        pd = ws.get("wa.pd", npin)
+        weights = self._weights
+        coef = ws.get("wa.coef", nn)
         gp = ws.get("wa.gp", npin)
-        np.multiply(pin_pos, inv_gamma, out=pt)
-        np.add(pt, 1.0, out=pt)
-        np.take(safe_plus, pin2net, out=pc)
-        np.take(sum_xplus, pin2net, out=pd)
-        np.multiply(pt, pc, out=gp)
-        np.multiply(pd, inv_gamma, out=pd)
-        np.subtract(gp, pd, out=gp)
-        np.multiply(exp_plus, gp, out=gp)
-        np.multiply(pc, pc, out=pc)
-        np.divide(gp, pc, out=gp)
+        np.multiply(wa_plus, -inv_gamma, out=coef)
+        np.add(coef, 1.0, out=coef)
+        np.take(coef, pin2net, out=gp, mode="clip")
+        np.add(gp, scaled, out=gp)
+        np.multiply(gp, exp_plus, out=gp)
+        np.divide(weights, sum_plus, out=coef)
+        np.take(coef, pin2net, out=gat, mode="clip")
+        np.multiply(gp, gat, out=gp)
 
-        gm = ws.get("wa.gm", npin)
-        np.multiply(pin_pos, inv_gamma, out=pt)
-        np.subtract(1.0, pt, out=pt)
-        np.take(safe_minus, pin2net, out=pc)
-        np.take(sum_xminus, pin2net, out=pd)
-        np.multiply(pt, pc, out=gm)
-        np.multiply(pd, inv_gamma, out=pd)
-        np.add(gm, pd, out=gm)
-        np.multiply(exp_minus, gm, out=gm)
-        np.multiply(pc, pc, out=pc)
-        np.divide(gm, pc, out=gm)
+        gm = exp_plus  # e+ is spent: its slot takes the minus gradient.
+        np.multiply(wa_minus, inv_gamma, out=coef)
+        np.add(coef, 1.0, out=coef)
+        np.take(coef, pin2net, out=gm, mode="clip")
+        np.subtract(gm, scaled, out=gm)
+        np.multiply(gm, exp_minus, out=gm)
+        np.divide(weights, sum_minus, out=coef)
+        np.take(coef, pin2net, out=gat, mode="clip")
+        np.multiply(gm, gat, out=gm)
 
         pin_grad = ws.get("wa.pin_grad", npin)
         np.subtract(gp, gm, out=pin_grad)
-        np.multiply(pin_grad, self._pin_weights, out=pin_grad)
         return wa_total, hpwl_total, pin_grad
 
 

@@ -135,6 +135,22 @@ class TestWA:
         assert result.grad_x.sum() == pytest.approx(0.0, abs=1e-8)
         assert result.grad_y.sum() == pytest.approx(0.0, abs=1e-8)
 
+    @pytest.mark.parametrize("gamma", [0.05, 0.5, 4.0])
+    @pytest.mark.parametrize("offset", [1e3, 1e5])
+    def test_gradient_translation_invariant(
+        self, circuit, placement, gamma, offset
+    ):
+        # Far from the origin x/γ is large; the gradient's 1 + (x − WA)/γ
+        # must not lose the O(1) part to cancellation.
+        x, y = placement
+        op = WirelengthOp(circuit)
+        base = op(x, y, gamma)
+        grad_x, grad_y = base.grad_x.copy(), base.grad_y.copy()
+        shifted = op(x + offset, y + offset, gamma)
+        for moved, ref in ((shifted.grad_x, grad_x), (shifted.grad_y, grad_y)):
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(moved - ref)) <= 1e-9 * scale
+
     def test_gradient_pulls_two_pin_net_together(self):
         nl = two_cell_net()
         x = np.array([10.0, 30.0])
@@ -215,3 +231,71 @@ class TestSegments:
         net_start = np.array([0, 2, 2])  # last net empty, start == len(values)
         out = segment_max(values, net_start)
         assert out[0] == 5.0
+
+
+def random_layout(rng, num_nets, num_pins):
+    """A random CSR layout with empty nets at the start, middle and end
+    and degree-1 nets; ``num_pins == 0`` leaves every net empty."""
+    degree = np.zeros(num_nets, dtype=np.int64)
+    if num_pins:
+        inner = np.arange(1, num_nets - 1)
+        empty = {0, num_nets // 2, num_nets - 1}
+        filled = np.array([i for i in inner if i not in empty])
+        degree[filled] = 1  # every fourth filled net stays at degree 1
+        extra = rng.choice(np.setdiff1d(filled, filled[::4]),
+                           num_pins - len(filled))
+        np.add.at(degree, extra, 1)
+    net_start = np.concatenate([[0], np.cumsum(degree)])
+    values = rng.normal(scale=100.0, size=int(net_start[-1]))
+    return values, net_start
+
+
+class TestSegmentOracle:
+    """Per-net reductions against a per-net Python loop."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("num_pins", [0, 40, 400])
+    def test_against_loop(self, seed, num_pins):
+        from repro.wirelength.segments import (
+            expand_pin2net,
+            segment_max,
+            segment_min,
+            segment_sum,
+        )
+
+        rng = np.random.default_rng(seed)
+        values, net_start = random_layout(rng, 25, num_pins)
+        pin2net = expand_pin2net(net_start)
+        degree = np.diff(net_start)
+        if num_pins:
+            assert degree[0] == degree[12] == degree[-1] == 0
+            assert np.sum(degree == 1) >= 6
+        sums = segment_sum(values, net_start)
+        np.testing.assert_array_equal(
+            segment_sum(values, net_start, pin2net), sums
+        )
+        maxima = segment_max(values, net_start, pin2net)
+        minima = segment_min(values, net_start, pin2net,
+                             out=np.empty(len(degree)))
+        np.testing.assert_array_equal(segment_max(values, net_start), maxima)
+        np.testing.assert_array_equal(segment_min(values, net_start), minima)
+        for net in range(len(degree)):
+            pins = values[net_start[net]:net_start[net + 1]]
+            if len(pins) == 0:
+                assert sums[net] == 0.0
+                continue
+            assert maxima[net] == max(pins)
+            assert minima[net] == min(pins)
+            assert sums[net] == pytest.approx(sum(pins), rel=1e-12, abs=0)
+
+    def test_no_nets(self):
+        from repro.wirelength.segments import (
+            segment_max,
+            segment_min,
+            segment_sum,
+        )
+
+        values = np.empty(0)
+        net_start = np.array([0])
+        for reduce in (segment_max, segment_min, segment_sum):
+            assert reduce(values, net_start).shape == (0,)
