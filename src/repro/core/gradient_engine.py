@@ -157,8 +157,10 @@ class GradientEngine:
         # read on the skip path, and checkpoints copy what they keep.
         wl_grad_x = ws.get("eng.wl_gx", nv)
         wl_grad_y = ws.get("eng.wl_gy", nv)
-        np.take(wl.grad_x, self._mov_idx, out=wl_grad_x[:nm])
-        np.take(wl.grad_y, self._mov_idx, out=wl_grad_y[:nm])
+        # ``mode="clip"``: the indices are in range, and the default
+        # "raise" copies ``out=`` through a buffer.
+        np.take(wl.grad_x, self._mov_idx, out=wl_grad_x[:nm], mode="clip")
+        np.take(wl.grad_y, self._mov_idx, out=wl_grad_y[:nm], mode="clip")
         wl_grad_x[nm:] = 0.0
         wl_grad_y[nm:] = 0.0
         norm_cat = ws.get("eng.norm_cat", 2 * nv)
@@ -173,8 +175,10 @@ class GradientEngine:
             # computed iteration replaces their contents.
             density_grad_x = ws.get("eng.d_gx", nv)
             density_grad_y = ws.get("eng.d_gy", nv)
-            np.take(dres.grad_x, self._mov_idx, out=density_grad_x[:nm])
-            np.take(dres.grad_y, self._mov_idx, out=density_grad_y[:nm])
+            np.take(dres.grad_x, self._mov_idx, out=density_grad_x[:nm],
+                    mode="clip")
+            np.take(dres.grad_y, self._mov_idx, out=density_grad_y[:nm],
+                    mode="clip")
             density_grad_x[nm:] = dres.filler_grad_x
             density_grad_y[nm:] = dres.filler_grad_y
             overflow = dres.overflow

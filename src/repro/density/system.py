@@ -131,8 +131,9 @@ class DensitySystem:
         bin_area = self.grid.bin_area
         mov_x = ws.get("ds.mov_x", self._mov_idx.shape[0])
         mov_y = ws.get("ds.mov_y", self._mov_idx.shape[0])
-        np.take(x, self._mov_idx, out=mov_x)
-        np.take(y, self._mov_idx, out=mov_y)
+        # In-range indices; the default mode="raise" buffers ``out=``.
+        np.take(x, self._mov_idx, out=mov_x, mode="clip")
+        np.take(y, self._mov_idx, out=mov_y, mode="clip")
 
         # Shared incidence handles: the scatter and the force gathers
         # below run over the same cell geometry, so the cell–bin

@@ -14,7 +14,8 @@ engine) in simplified sequential form:
 improving; it both requires and preserves legality.  Moves are applied
 one at a time, but each decision scores all of its candidates in one
 batched gather + segment reduction, with the same decisions as scoring
-them one by one.
+them one by one; global swap plans a batch of cells against one
+snapshot and replays the decisions in order.
 """
 
 from repro.detail.rows import PlacementRows

@@ -10,7 +10,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from repro.detail.rows import PlacementRows
+from repro.detail.rows import PlacementRows, RowIndex, concat_ranges
 from repro.netlist import Netlist
 from repro.wirelength import hpwl as hpwl_fn
 
@@ -37,10 +37,9 @@ class DetailedPlacementResult:
         return 1.0 - self.hpwl_after / self.hpwl_before
 
 
-def _segments(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Concatenated ``arange(s, s + n)`` for each (s, n) pair."""
-    offsets = np.cumsum(lengths) - lengths
-    return np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
+#: Movable cells whose swaps are planned against one snapshot.  Any size
+#: gives the same decisions; swaps are rare, so a batch is seldom cut short.
+SWAP_BATCH = 32
 
 
 class DetailedPlacer:
@@ -52,10 +51,20 @@ class DetailedPlacer:
     keeps it legal.
 
     Moves are applied one at a time, but each decision scores all of its
-    candidates at once: a window's permutations, a cell's swap partners
-    and an ISM batch's cost matrix are each one :meth:`_trial_hpwl` call.
-    The scores are bit-identical to evaluating the candidates one by
-    one, so every decision matches the sequential rule.
+    candidates at once: a window's permutations and an ISM batch's cost
+    matrix are each one :meth:`_trial_hpwl` call.  The scores are
+    bit-identical to evaluating the candidates one by one, so every
+    decision matches the sequential rule.
+
+    Global swap goes further and plans in snapshot batches.  It takes the
+    next ``SWAP_BATCH`` movable cells in order and computes, against one
+    snapshot of the placement, every cell's optimal point, candidate
+    band, spans, fence checks and swap scores (one scoring call for the
+    whole batch).  The decisions are then replayed in cell order: the
+    first cell whose best swap gains is swapped, everything planned after
+    it is discarded, and the next batch starts at the following cell.
+    Until that swap nothing moves, so each decision is the one the
+    per-cell rule would make.
     """
 
     def __init__(
@@ -81,22 +90,6 @@ class DetailedPlacer:
             dtype=np.int64,
         ).reshape(-1, window)
         self._build_adjacency()
-
-    def _fence_ok(self, cell: int, new_x: float, new_y: float) -> bool:
-        """True if a fenced cell's box at (new_x, new_y) stays inside its
-        fence (always True for unconstrained cells)."""
-        nl = self.netlist
-        g = nl.cell_fence[cell]
-        if g < 0:
-            return True
-        fence = nl.fences[g]
-        hw = np.array([nl.cell_w[cell] / 2])
-        hh = np.array([nl.cell_h[cell] / 2])
-        return bool(
-            fence.contains_box(
-                np.array([new_x]), np.array([new_y]), hw, hh
-            )[0]
-        )
 
     def _build_adjacency(self) -> None:
         nl = self.netlist
@@ -154,7 +147,7 @@ class DetailedPlacer:
         if not len(nets):
             return out
         degree = nl.net_degree[nets]
-        pins = _segments(nl.net_start[nets], degree)
+        pins = concat_ranges(nl.net_start[nets], degree)
         owners = nl.pin2cell[pins]
         px = x[owners]
         py = y[owners]
@@ -261,134 +254,172 @@ class DetailedPlacer:
     # ------------------------------------------------------------------
     # Operator 2: global swap
     # ------------------------------------------------------------------
-    def _optimal_point(self, cell: int, rows: PlacementRows) -> Tuple[float, float]:
-        """Median of the other-pin bounding boxes of the cell's nets."""
+    def _optimal_points(
+        self, cells: np.ndarray, x: np.ndarray, y: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Each cell's optimal point: the median of the other-pin bounding
+        boxes of its nets, or its own position if no net has another pin."""
         nl = self.netlist
-        nets = self._cell_net_slice(cell)
-        if not len(nets):
-            return rows.x[cell], rows.y[cell]
+        opt_x, opt_y = x[cells], y[cells]
+        starts = self._cell_net_start[cells]
+        counts = self._cell_net_start[cells + 1] - starts
+        nets = self._cell_nets[concat_ranges(starts, counts)]
+        # One entry per (cell, net); keep the pins of other cells.
+        owner = np.repeat(np.arange(len(cells)), counts)
         degree = nl.net_degree[nets]
-        pins = _segments(nl.net_start[nets], degree)
-        owners = nl.pin2cell[pins]
-        other = owners != cell
-        # Other-pin count per net; nets with none drop out.
-        kept = np.add.reduceat(other.astype(np.int64), np.cumsum(degree) - degree)
-        kept = kept[kept > 0]
-        if not len(kept):
-            return rows.x[cell], rows.y[cell]
-        pins, owners = pins[other], owners[other]
-        starts = np.cumsum(kept) - kept
-        # Row 0: x, row 1: y; each row holds every net's (min, max).
-        bounds = np.empty((2, 2 * len(kept)))
-        for axis, pos, offset in ((0, rows.x, nl.pin_dx), (1, rows.y, nl.pin_dy)):
-            p = pos[owners] + offset[pins]
-            bounds[axis, 0::2] = np.minimum.reduceat(p, starts)
-            bounds[axis, 1::2] = np.maximum.reduceat(p, starts)
-        # The median (``np.median``'s rounding: mean of the middle pair).
-        bounds.sort(axis=1)
-        mid = len(kept)
-        opt_x, opt_y = (bounds[:, mid - 1] + bounds[:, mid]) / 2
-        return float(opt_x), float(opt_y)
+        pins = concat_ranges(nl.net_start[nets], degree)
+        entry = np.repeat(np.arange(len(nets)), degree)
+        other = nl.pin2cell[pins] != cells[owner[entry]]
+        pins, entry = pins[other], entry[other]
+        if not len(pins):
+            return opt_x, opt_y
+        # Entries with no other pin drop out; the rest stay grouped by cell.
+        starts = np.flatnonzero(np.r_[True, entry[1:] != entry[:-1]])
+        who = owner[entry[starts]]
+        kept = np.bincount(who, minlength=len(cells))
+        who = np.tile(who, 2)
+        has = kept > 0
+        # The median of each cell's net bounds (``np.median``'s rounding:
+        # mean of the middle pair).
+        mid = (np.cumsum(2 * kept) - kept)[has]
+        for pos, offset, out in ((x, nl.pin_dx, opt_x), (y, nl.pin_dy, opt_y)):
+            p = pos[nl.pin2cell[pins]] + offset[pins]
+            bounds = np.concatenate(
+                (np.minimum.reduceat(p, starts), np.maximum.reduceat(p, starts))
+            )
+            bounds = bounds[np.lexsort((bounds, who))]
+            out[has] = (bounds[mid - 1] + bounds[mid]) / 2
+        return opt_x, opt_y
 
     def _global_swap_pass(self, rows: PlacementRows) -> int:
+        """Swap each movable cell, in order, with the best partner near its
+        optimal point, planned in snapshot batches (see the class doc)."""
         nl = self.netlist
+        movable = nl.movable_index
+        radius_x = 4 * float(np.mean(nl.cell_w[movable])) * self.swap_candidates
+        index = rows.index()
         applied = 0
-        radius_x = 4 * float(np.mean(nl.cell_w[nl.movable_index])) * self.swap_candidates
-        for a in nl.movable_index.tolist():
-            opt_x, opt_y = self._optimal_point(a, rows)
-            if abs(opt_x - rows.x[a]) + abs(opt_y - rows.y[a]) < 1e-9:
+        start = 0
+        while start < len(movable):
+            chunk = movable[start : start + SWAP_BATCH]
+            swap = self._first_swap(chunk, index, radius_x)
+            if swap is None:
+                start += len(chunk)
                 continue
-            near = rows.cells_near(opt_x, opt_y, self.swap_radius_rows, radius_x)
-            candidates = near[
-                (near != a) & (nl.cell_fence[near] == nl.cell_fence[a])
-            ][: self.swap_candidates]
-            if not len(candidates):
-                continue
-            la, ra = rows.span(a)
-            wa = nl.cell_w[a]
-            trials: List[Tuple[int, float, float, float, float]] = []
-            for b in candidates.tolist():
-                lb, rb = rows.span(b)
-                wb = nl.cell_w[b]
-                if rb - lb < wa - 1e-9 or ra - la < wb - 1e-9:
-                    continue
-                ax_new = min(max(rows.x[b], lb + wa / 2), rb - wa / 2)
-                bx_new = min(max(rows.x[a], la + wb / 2), ra - wb / 2)
-                ya_new = rows.row_y_center(b) - nl.cell_h[b] / 2 + nl.cell_h[a] / 2
-                yb_new = rows.y[a] - nl.cell_h[a] / 2 + nl.cell_h[b] / 2
-                if nl.cell_fence[a] >= 0 and not (
-                    self._fence_ok(a, ax_new, ya_new)
-                    and self._fence_ok(b, bx_new, yb_new)
-                ):
-                    continue
-                if rows.cell_slot[a] == rows.cell_slot[b]:
-                    # Same segment: the exchanged intervals must stay disjoint.
-                    lx, lw, rx, rw = (
-                        (ax_new, wa, bx_new, wb)
-                        if ax_new <= bx_new
-                        else (bx_new, wb, ax_new, wa)
-                    )
-                    if lx + lw / 2 > rx - rw / 2 + 1e-9:
-                        continue
-                trials.append((b, ax_new, bx_new, ya_new, yb_new))
-            if not trials:
-                continue
-            best = None
-            best_delta = -1e-9
-            for trial, delta in zip(trials, self._swap_deltas(a, trials, rows)):
-                if delta > best_delta:
-                    best_delta = delta
-                    best = trial
-            if best is not None:
-                b, ax_new, bx_new = best[:3]
-                slot_a = rows.cell_slot[a]
-                slot_b = rows.cell_slot[b]
-                rows.members[slot_a[0]][slot_a[1]].remove(a)
-                rows.members[slot_b[0]][slot_b[1]].remove(b)
-                rows.x[a] = ax_new
-                rows.y[a] = rows.space.rows[slot_b[0]].y + nl.cell_h[a] / 2
-                rows.x[b] = bx_new
-                rows.y[b] = rows.space.rows[slot_a[0]].y + nl.cell_h[b] / 2
-                rows.set_slot(a, slot_b)
-                rows.set_slot(b, slot_a)
-                rows._sorted_insert(slot_b, a)
-                rows._sorted_insert(slot_a, b)
-                applied += 1
+            i, b, ax_new, bx_new = swap
+            a = int(chunk[i])
+            slot_a, slot_b = rows.cell_slot[a], rows.cell_slot[b]
+            rows.move(a, ax_new, *slot_b)
+            rows.move(b, bx_new, *slot_a)
+            applied += 1
+            start += i + 1
+            index = rows.index()
         return applied
+
+    def _first_swap(
+        self, chunk: np.ndarray, index: RowIndex, radius_x: float
+    ) -> Optional[Tuple[int, int, float, float]]:
+        """Plan every swap of ``chunk`` against one snapshot and return the
+        first cell's (its chunk position, partner, new x of both) whose
+        best swap gains HPWL, or None if no cell's does."""
+        nl = self.netlist
+        rows = index.rows
+        x, y = rows.x, rows.y
+        opt_x, opt_y = self._optimal_points(chunk, x, y)
+        moving = np.flatnonzero(
+            np.abs(opt_x - x[chunk]) + np.abs(opt_y - y[chunk]) >= 1e-9
+        )
+        query, b = index.cells_near(
+            opt_x[moving], opt_y[moving], self.swap_radius_rows, radius_x
+        )
+        a = chunk[moving][query]
+        keep = (b != a) & (nl.cell_fence[b] == nl.cell_fence[a])
+        query, a, b = query[keep], a[keep], b[keep]
+        # Each cell's candidates: the first swap_candidates of its band.
+        rank = np.arange(len(query)) - np.searchsorted(query, query)
+        keep = rank < self.swap_candidates
+        query, a, b = query[keep], a[keep], b[keep]
+        la, ra = index.left[a], index.right[a]
+        lb, rb = index.left[b], index.right[b]
+        wa, wb = nl.cell_w[a], nl.cell_w[b]
+        ha, hb = nl.cell_h[a], nl.cell_h[b]
+        ax_new = np.minimum(np.maximum(x[b], lb + wa / 2), rb - wa / 2)
+        bx_new = np.minimum(np.maximum(x[a], la + wb / 2), ra - wb / 2)
+        ya_new = rows.row_y[rows.row_of[b]] + hb / 2 - hb / 2 + ha / 2
+        yb_new = y[a] - ha / 2 + hb / 2
+        ok = (rb - lb >= wa - 1e-9) & (ra - la >= wb - 1e-9)
+        fence = nl.cell_fence[a]
+        for g in np.unique(fence[fence >= 0]).tolist():
+            box, sel = nl.fences[g], fence == g
+            ok[sel] &= box.contains_box(
+                ax_new[sel], ya_new[sel], wa[sel] / 2, ha[sel] / 2
+            ) & box.contains_box(
+                bx_new[sel], yb_new[sel], wb[sel] / 2, hb[sel] / 2
+            )
+        # Same segment: the exchanged intervals must stay disjoint.
+        a_left = ax_new <= bx_new
+        lx = np.where(a_left, ax_new, bx_new)
+        rx = np.where(a_left, bx_new, ax_new)
+        lw, rw = np.where(a_left, wa, wb), np.where(a_left, wb, wa)
+        same = (rows.row_of[a] == rows.row_of[b]) & (
+            rows.seg_of[a] == rows.seg_of[b]
+        )
+        ok &= ~same | (lx + lw / 2 <= rx - rw / 2 + 1e-9)
+        if not ok.any():
+            return None
+        query, a, b = query[ok], a[ok], b[ok]
+        ax_new, bx_new = ax_new[ok], bx_new[ok]
+        deltas = self._swap_deltas(
+            a, b, ax_new, bx_new, ya_new[ok], yb_new[ok], x, y
+        )
+        # Each cell's best: the first of its largest deltas, if it gains.
+        firsts = np.flatnonzero(np.r_[True, query[1:] != query[:-1]])
+        gains = np.flatnonzero(np.maximum.reduceat(deltas, firsts) > -1e-9)
+        if not len(gains):
+            return None
+        lo = firsts[gains[0]]
+        hi = firsts[gains[0] + 1] if gains[0] + 1 < len(firsts) else len(deltas)
+        t = lo + int(np.argmax(deltas[lo:hi]))
+        return int(moving[query[t]]), int(b[t]), ax_new[t], bx_new[t]
 
     def _swap_deltas(
         self,
-        a: int,
-        trials: List[Tuple[int, float, float, float, float]],
-        rows: PlacementRows,
+        a: np.ndarray,
+        b: np.ndarray,
+        ax_new: np.ndarray,
+        bx_new: np.ndarray,
+        ya_new: np.ndarray,
+        yb_new: np.ndarray,
+        x: np.ndarray,
+        y: np.ndarray,
     ) -> np.ndarray:
-        """HPWL gain of each candidate swap of ``a``, over the union of
-        both cells' nets: one scoring call for all bases and swaps."""
+        """HPWL gain of each swap of ``a[t]`` with ``b[t]`` over the union
+        of both cells' nets: one scoring call for all bases and swaps."""
         nl = self.netlist
-        count = len(trials)
-        partners = np.array([t[0] for t in trials], dtype=np.int64)
+        count = len(a)
         # Per-trial sorted union of a's and b's nets: unique (trial, net) keys.
-        nets_a = self._cell_net_slice(a)
-        starts = self._cell_net_start[partners]
-        lengths = self._cell_net_start[partners + 1] - starts
-        nets_b = self._cell_nets[_segments(starts, lengths)]
-        keys = np.unique(np.concatenate((
-            np.repeat(np.arange(count), len(nets_a)) * nl.num_nets
-            + np.tile(nets_a, count),
-            np.repeat(np.arange(count), lengths) * nl.num_nets + nets_b,
-        )))
+        trial = np.arange(count)
+        keys = []
+        for cells in (a, b):
+            starts = self._cell_net_start[cells]
+            lengths = self._cell_net_start[cells + 1] - starts
+            keys.append(
+                np.repeat(trial, lengths) * nl.num_nets
+                + self._cell_nets[concat_ranges(starts, lengths)]
+            )
+        keys = np.unique(np.concatenate(keys))
         nets = keys % nl.num_nets
         counts = np.bincount(keys // nl.num_nets, minlength=count)
         # Trials 0..count-1 are the unmoved bases, then the swaps.
         moved = np.full((2 * count, 2), -1, dtype=np.int64)
         moved[count:, 0] = a
-        moved[count:, 1] = partners
+        moved[count:, 1] = b
         mx = np.zeros((2 * count, 2))
         my = np.zeros((2 * count, 2))
-        mx[count:] = [t[1:3] for t in trials]
-        my[count:] = [t[3:5] for t in trials]
+        mx[count:, 0], mx[count:, 1] = ax_new, bx_new
+        my[count:, 0], my[count:, 1] = ya_new, yb_new
         scores = self._trial_hpwl(
-            np.tile(nets, 2), np.tile(counts, 2), moved, mx, my, rows.x, rows.y
+            np.tile(nets, 2), np.tile(counts, 2), moved, mx, my, x, y
         )
         return scores[:count] - scores[count:]
 
@@ -435,7 +466,7 @@ class DetailedPlacer:
         starts = self._cell_net_start[cells]
         lengths = np.repeat(self._cell_net_start[cells + 1] - starts, k)
         cost = self._trial_hpwl(
-            self._cell_nets[_segments(np.repeat(starts, k), lengths)],
+            self._cell_nets[concat_ranges(np.repeat(starts, k), lengths)],
             lengths,
             np.repeat(cells, k)[:, None],
             np.tile(rows.x[cells], k)[:, None],

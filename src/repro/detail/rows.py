@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -26,13 +28,16 @@ class PlacementRows:
         self._row_centers = np.array(
             [self.space.row_center_y(r) for r in range(self.space.num_rows)]
         )
+        self.row_y = np.array([row.y for row in self.space.rows])
+        # Segment ends, flattened row-major like ``members``.
+        segments = [seg for segs in self.space.segments for seg in segs]
+        self._seg_xl = np.array([seg.xl for seg in segments])
+        self._seg_xh = np.array([seg.xh for seg in segments])
         # cell -> (row, segment), also as per-cell arrays (-1: not placed
         # in a row) for vectorized queries; segment cell lists sorted by x.
         self.cell_slot: Dict[int, Tuple[int, int]] = {}
         self.row_of = np.full(netlist.num_cells, -1, dtype=np.int64)
         self.seg_of = np.full(netlist.num_cells, -1, dtype=np.int64)
-        # Movable cells grouped by row, rebuilt lazily after a row change.
-        self._by_row: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self.members: List[List[List[int]]] = [
             [[] for __ in row_segs] for row_segs in self.space.segments
         ]
@@ -93,31 +98,28 @@ class PlacementRows:
         """Record ``cell``'s (row, segment); members are the caller's."""
         self.cell_slot[cell] = slot
         self.row_of[cell], self.seg_of[cell] = slot
-        self._by_row = None
 
     # ------------------------------------------------------------------
-    def span(self, cell: int) -> Tuple[float, float]:
-        """Free span available to ``cell``: (left bound, right bound) set by
-        its neighbours / segment ends (cell excluded)."""
-        row_i, seg_i = self.cell_slot[cell]
-        seg = self.space.segments[row_i][seg_i]
-        cells = self.members[row_i][seg_i]
-        k = cells.index(cell)
+    def spans(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Free span of every placed cell: (left, right) bounds set by its
+        neighbours in its segment, or the segment's ends (cell excluded),
+        as per-cell arrays (NaN for cells not in a row)."""
         netlist = self.netlist
-        left = seg.xl
-        if k > 0:
-            prev = cells[k - 1]
-            left = self.x[prev] + netlist.cell_w[prev] / 2
-        right = seg.xh
-        if k + 1 < len(cells):
-            nxt = cells[k + 1]
-            right = self.x[nxt] - netlist.cell_w[nxt] / 2
-        return left, right
-
-    def row_y_center(self, cell: int) -> float:
-        row_i, __ = self.cell_slot[cell]
-        row = self.space.rows[row_i]
-        return row.y + self.netlist.cell_h[cell] / 2
+        lists = [cells for row_segs in self.members for cells in row_segs]
+        order = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.int64)
+        seg = np.repeat(np.arange(len(lists)), [len(cells) for cells in lists])
+        half = netlist.cell_w[order] / 2
+        # Neighbours in the concatenated lists share the cell's segment.
+        left = self._seg_xl[seg]
+        right = self._seg_xh[seg]
+        inner = np.flatnonzero(seg[1:] == seg[:-1])
+        left[inner + 1] = self.x[order[inner]] + half[inner]
+        right[inner] = self.x[order[inner + 1]] - half[inner + 1]
+        out_left = np.full(netlist.num_cells, np.nan)
+        out_right = np.full(netlist.num_cells, np.nan)
+        out_left[order] = left
+        out_right[order] = right
+        return out_left, out_right
 
     def move(self, cell: int, new_x: float, row_i: int, seg_i: int) -> None:
         """Relocate a cell (caller guarantees the target span fits)."""
@@ -128,15 +130,7 @@ class PlacementRows:
             self.space.rows[row_i].y + self.netlist.cell_h[cell] / 2
         )
         self.set_slot(cell, (row_i, seg_i))
-        cells = self.members[row_i][seg_i]
-        lo, hi = 0, len(cells)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.x[cells[mid]] < new_x:
-                lo = mid + 1
-            else:
-                hi = mid
-        cells.insert(lo, cell)
+        self._sorted_insert((row_i, seg_i), cell)
 
     def _sorted_insert(self, slot: Tuple[int, int], cell: int) -> None:
         cells = self.members[slot[0]][slot[1]]
@@ -158,23 +152,57 @@ class PlacementRows:
                 for start in range(0, len(cells) - size + 1):
                     yield row_i, seg_i, cells[start : start + size]
 
+    def index(self) -> "RowIndex":
+        """A snapshot of the rows for vectorized queries (see RowIndex)."""
+        cells = self.netlist.movable_index
+        cells = cells[
+            np.lexsort((self.x[cells], self.seg_of[cells], self.row_of[cells]))
+        ]
+        bounds = np.searchsorted(
+            self.row_of[cells], np.arange(self.space.num_rows + 1)
+        )
+        left, right = self.spans()
+        return RowIndex(self, cells, bounds, left, right)
+
+
+@dataclass
+class RowIndex:
+    """Vectorized queries over one snapshot of :class:`PlacementRows`.
+
+    Valid until the next move: it holds the movable cells ordered by row,
+    then segment, then x (ties in movable-index order), each row's range
+    in that order, and every cell's free span (:meth:`PlacementRows.spans`).
+    """
+
+    rows: PlacementRows
+    cells: np.ndarray
+    row_bounds: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+
     def cells_near(
-        self, x: float, y: float, radius_rows: int, radius_x: float
-    ) -> np.ndarray:
-        """Movable cells within a row/x window around (x, y), ordered by
-        row, then segment, then x."""
-        if self._by_row is None:
-            cells = self.netlist.movable_index
-            cells = cells[np.argsort(self.row_of[cells], kind="stable")]
-            bounds = np.searchsorted(
-                self.row_of[cells], np.arange(self.space.num_rows + 1)
-            )
-            self._by_row = (cells, bounds)
-        cells, bounds = self._by_row
-        row_i = int(np.argmin(np.abs(self._row_centers - y)))
-        lo = bounds[max(0, row_i - radius_rows)]
-        hi = bounds[min(self.space.num_rows, row_i + radius_rows + 1)]
-        near = cells[lo:hi]
-        near = near[np.abs(self.x[near] - x) <= radius_x]
-        order = np.lexsort((self.x[near], self.seg_of[near], self.row_of[near]))
-        return near[order]
+        self, x: np.ndarray, y: np.ndarray, radius_rows: int, radius_x: float
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Movable cells within a row/x window around each query point.
+
+        Returns ``(query, cells)``: for query ``q`` at ``(x[q], y[q])``, the
+        cells of the rows within ``radius_rows`` of the row nearest
+        ``y[q]`` whose centre lies within ``radius_x`` of ``x[q]``, in the
+        snapshot's (row, segment, x) order.  Queries come out in order,
+        each one's cells contiguous.
+        """
+        rows = self.rows
+        num_rows = rows.space.num_rows
+        row_i = np.argmin(np.abs(rows._row_centers - y[:, None]), axis=1)
+        lo = self.row_bounds[np.maximum(0, row_i - radius_rows)]
+        hi = self.row_bounds[np.minimum(num_rows, row_i + radius_rows + 1)]
+        query = np.repeat(np.arange(len(x)), hi - lo)
+        near = self.cells[concat_ranges(lo, hi - lo)]
+        keep = np.abs(rows.x[near] - x[query]) <= radius_x
+        return query[keep], near[keep]
+
+
+def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(s, s + n)`` for each (s, n) pair."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))

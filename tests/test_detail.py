@@ -39,19 +39,30 @@ class TestPlacementRows:
     def test_span_bounds_neighbors(self, legal_placement):
         nl, lx, ly = legal_placement
         rows = PlacementRows(nl, lx, ly)
-        for row_segs in rows.members:
-            for cells in row_segs:
-                for c in cells:
-                    left, right = rows.span(c)
+        lefts, rights = rows.spans()
+        for row_i, row_segs in enumerate(rows.members):
+            for seg_i, cells in enumerate(row_segs):
+                seg = rows.space.segments[row_i][seg_i]
+                for k, c in enumerate(cells):
+                    # The neighbours' facing edges, or the segment's ends.
+                    left, right = seg.xl, seg.xh
+                    if k > 0:
+                        left = rows.x[cells[k - 1]] + nl.cell_w[cells[k - 1]] / 2
+                    if k + 1 < len(cells):
+                        right = rows.x[cells[k + 1]] - nl.cell_w[cells[k + 1]] / 2
+                    assert (lefts[c], rights[c]) == (left, right)
                     assert left - 1e-6 <= rows.x[c] - nl.cell_w[c] / 2
                     assert rows.x[c] + nl.cell_w[c] / 2 <= right + 1e-6
+        fixed = np.flatnonzero(~nl.movable)
+        assert np.isnan(lefts[fixed]).all() and np.isnan(rights[fixed]).all()
 
     def test_move_keeps_sorted(self, legal_placement):
         nl, lx, ly = legal_placement
         rows = PlacementRows(nl, lx, ly)
         cell = int(nl.movable_index[0])
         row_i, seg_i = rows.cell_slot[cell]
-        left, right = rows.span(cell)
+        lefts, rights = rows.spans()
+        left, right = lefts[cell], rights[cell]
         target = (left + right) / 2
         rows.move(cell, target, row_i, seg_i)
         cells = rows.members[row_i][seg_i]
