@@ -2,12 +2,70 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.netlist import PlacementRegion
+
+_PAIRWISE_BLOCK = 128
+
+
+def pairwise_sum(
+    values: Sequence[float], lo: int = 0, hi: Optional[int] = None
+) -> float:
+    """``values[lo:hi]`` summed in ``np.sum``'s pairwise order.
+
+    The result equals ``np.sum`` on the same float64 values bit for bit:
+    sequential below 8 terms, 8 running lanes combined as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` plus the tail up to 128
+    terms, and above that a split at ``n//2 - (n//2) % 8``.
+    """
+    if hi is None:
+        hi = len(values)
+    n = hi - lo
+    if n < 8:
+        total = 0.0
+        for index in range(lo, hi):
+            total += values[index]
+        return total
+    if n > _PAIRWISE_BLOCK:
+        half = n // 2
+        half -= half % 8
+        return pairwise_sum(values, lo, lo + half) + pairwise_sum(
+            values, lo + half, hi
+        )
+    r0, r1, r2, r3, r4, r5, r6, r7 = values[lo : lo + 8]
+    end = hi - n % 8
+    for index in range(lo + 8, end, 8):
+        r0 += values[index]
+        r1 += values[index + 1]
+        r2 += values[index + 2]
+        r3 += values[index + 3]
+        r4 += values[index + 4]
+        r5 += values[index + 5]
+        r6 += values[index + 6]
+        r7 += values[index + 7]
+    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for index in range(end, hi):
+        total += values[index]
+    return total
+
+
+def run_cost(usage: Sequence[float], capacity: float) -> float:
+    """Cost of one straight run over grid edges with these usages.
+
+    Each edge costs 1 plus the square of the amount one more wire would
+    exceed its capacity, ``max(u + 1 - capacity, 0)**2``.  Capacities
+    are fractional, so the squares are too and their sum depends on the
+    order: it is taken in ``np.sum``'s pairwise order.
+    """
+    if not usage:
+        return 0.0
+    if max(usage) + 1.0 - capacity <= 0.0:
+        return float(len(usage))
+    squares = [e * e if (e := u + 1.0 - capacity) > 0.0 else 0.0 for u in usage]
+    return len(usage) + pairwise_sum(squares)
 
 
 class RoutingGrid:
@@ -91,19 +149,11 @@ class RoutingGrid:
 
     def _h_cost(self, i0: int, i1: int, j: int) -> float:
         lo, hi = (i0, i1) if i0 <= i1 else (i1, i0)
-        if hi == lo:
-            return 0.0
-        usage = self.h_demand[lo:hi, j]
-        over = np.clip(usage + 1.0 - self.h_capacity, 0.0, None)
-        return float((hi - lo) + np.sum(over**2))
+        return run_cost(self.h_demand[lo:hi, j].tolist(), self.h_capacity)
 
     def _v_cost(self, i: int, j0: int, j1: int) -> float:
         lo, hi = (j0, j1) if j0 <= j1 else (j1, j0)
-        if hi == lo:
-            return 0.0
-        usage = self.v_demand[i, lo:hi]
-        over = np.clip(usage + 1.0 - self.v_capacity, 0.0, None)
-        return float((hi - lo) + np.sum(over**2))
+        return run_cost(self.v_demand[i, lo:hi].tolist(), self.v_capacity)
 
     # ------------------------------------------------------------------
     def overflow_map(self) -> np.ndarray:

@@ -9,8 +9,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.netlist import Netlist
-from repro.route.grid import RoutingGrid
-from repro.route.steiner import decompose_net
+from repro.route.grid import RoutingGrid, run_cost
+from repro.route.steiner import decompose_nets
 
 
 @dataclass
@@ -34,6 +34,21 @@ class GlobalRouter:
     shapes as well.  This is the fidelity class of routers used for
     placement routability scoring (what top5 overflow needs), not a
     detailed router.
+
+    Every shape is a column ``k``: a horizontal run from ``i0`` to ``k``
+    on row ``j0``, a vertical run on column ``k`` and a horizontal run
+    from ``k`` to ``i1`` on row ``j1``.  ``k = i1`` is the
+    horizontal-first L, ``k = i0`` the vertical-first L, and a Z splits
+    at a column in between.
+
+    :func:`decompose_nets` splits all nets in one batched pass.  The
+    edges are then routed one at a time in scalar Python over list
+    copies of the demand maps (horizontal demand transposed, so every
+    run is one list slice); numpy calls are per pass, not per edge.
+    Run costs come from :func:`repro.route.grid.run_cost`, whose
+    pairwise sum reproduces ``np.sum`` bit for bit, because fractional
+    capacities make the penalty sum order-dependent.  The lists are
+    written back into the grid before each overflow map and at the end.
     """
 
     def __init__(
@@ -69,126 +84,110 @@ class GlobalRouter:
         """Route every net for the placement ``(x, y)``."""
         start = time.perf_counter()
         grid = self.grid
-        grid.reset()
         nl = self.netlist
         px, py = nl.pin_positions(x, y)
         gi, gj = grid.gcell_of(px, py)
-
-        all_edges: List[Tuple[Tuple[int, int], Tuple[int, int]]] = []
-        for e in range(nl.num_nets):
-            lo, hi = nl.net_start[e], nl.net_start[e + 1]
-            if hi - lo < 2:
-                continue
-            all_edges.extend(decompose_net(gi[lo:hi], gj[lo:hi]))
-
-        routes = [self._route_l(edge) for edge in all_edges]
-
-        for __ in range(self.rrr_passes):
-            if grid.total_overflow() <= 0:
-                break
-            self._rip_up_and_reroute(all_edges, routes)
-
+        edges = decompose_nets(gi, gj, nl.net_start)
+        self._route_edges(edges)
         return RoutingResult(
             top5_overflow=grid.top_overflow(0.05),
             total_overflow=grid.total_overflow(),
             wirelength=grid.wirelength(),
-            num_edges=len(all_edges),
+            num_edges=len(edges),
             gr_seconds=time.perf_counter() - start,
             grid=grid,
         )
 
     # ------------------------------------------------------------------
-    def _route_l(self, edge) -> str:
-        """Commit the cheaper L shape; returns which corner was used."""
-        (i0, j0), (i1, j1) = edge
+    def _route_edges(self, edges: np.ndarray) -> List[int]:
+        """Route ``(i0, j0, i1, j1)`` rows in order into the grid's demand
+        maps (replacing what they held); return each edge's column."""
         grid = self.grid
-        if i0 == i1:
-            grid.add_vertical(i0, j0, j1)
-            return "v"
-        if j0 == j1:
-            grid.add_horizontal(i0, i1, j0)
-            return "h"
-        cost_hv = grid.path_cost(i0, j0, i1, j1, "hv")
-        cost_vh = grid.path_cost(i0, j0, i1, j1, "vh")
-        if cost_hv <= cost_vh:
-            grid.add_horizontal(i0, i1, j0)
-            grid.add_vertical(i1, j0, j1)
-            return "hv"
-        grid.add_vertical(i0, j0, j1)
-        grid.add_horizontal(i0, i1, j1)
-        return "vh"
+        m = grid.m
+        h_cap, v_cap = grid.h_capacity, grid.v_capacity
+        h = [[0.0] * (m - 1) for __ in range(m)]  # h[j][i] = h_demand[i, j]
+        v = [[0.0] * (m - 1) for __ in range(m)]  # v[i][j] = v_demand[i, j]
 
-    def _unroute(self, edge, shape: str) -> None:
-        (i0, j0), (i1, j1) = edge
-        grid = self.grid
-        if shape == "v":
-            grid.add_vertical(i0, j0, j1, -1.0)
-        elif shape == "h":
-            grid.add_horizontal(i0, i1, j0, -1.0)
-        elif shape == "hv":
-            grid.add_horizontal(i0, i1, j0, -1.0)
-            grid.add_vertical(i1, j0, j1, -1.0)
-        elif shape == "vh":
-            grid.add_vertical(i0, j0, j1, -1.0)
-            grid.add_horizontal(i0, i1, j1, -1.0)
-        else:  # Z shapes carry their split coordinate: "z:<k>"
-            k = int(shape.split(":")[1])
-            grid.add_horizontal(i0, k, j0, -1.0)
-            grid.add_vertical(k, j0, j1, -1.0)
-            grid.add_horizontal(k, i1, j1, -1.0)
-
-    def _rip_up_and_reroute(self, edges, routes) -> None:
-        """Reroute the edges whose current path crosses overflow."""
-        grid = self.grid
-        over = grid.overflow_map()
-        for index, (edge, shape) in enumerate(zip(edges, routes)):
-            (i0, j0), (i1, j1) = edge
-            if i0 == i1 and j0 == j1:
-                continue
-            if not self._crosses_overflow(edge, shape, over):
-                continue
-            self._unroute(edge, shape)
-            routes[index] = self._best_shape(edge)
-
-    def _crosses_overflow(self, edge, shape, over) -> bool:
-        (i0, j0), (i1, j1) = edge
-        lo_i, hi_i = min(i0, i1), max(i0, i1)
-        lo_j, hi_j = min(j0, j1), max(j0, j1)
-        return bool(np.any(over[lo_i : hi_i + 1, lo_j : hi_j + 1] > 0))
-
-    def _best_shape(self, edge) -> str:
-        """Choose among both Ls and a few Z splits; commit the cheapest."""
-        (i0, j0), (i1, j1) = edge
-        grid = self.grid
-        if i0 == i1:
-            grid.add_vertical(i0, j0, j1)
-            return "v"
-        if j0 == j1:
-            grid.add_horizontal(i0, i1, j0)
-            return "h"
-        options = [
-            ("hv", grid.path_cost(i0, j0, i1, j1, "hv")),
-            ("vh", grid.path_cost(i0, j0, i1, j1, "vh")),
-        ]
-        lo, hi = min(i0, i1), max(i0, i1)
-        if hi - lo > 1:
-            for k in np.linspace(lo + 1, hi - 1, num=min(3, hi - lo - 1)).astype(int):
-                cost = (
-                    grid._h_cost(i0, k, j0)
-                    + grid._v_cost(int(k), j0, j1)
-                    + grid._h_cost(int(k), i1, j1)
+        def cheapest(i0: int, j0: int, i1: int, j1: int, with_z: bool) -> int:
+            """Least-cost column among both Ls (and the Z splits when
+            ``with_z``).  The first wins ties, so the horizontal-first L
+            is preferred; a straight edge has one shape."""
+            if i0 == i1 or j0 == j1:
+                return i1
+            lo, hi = (i0, i1) if i0 < i1 else (i1, i0)
+            jlo, jhi = (j0, j1) if j0 < j1 else (j1, j0)
+            first, last = h[j0], h[j1]
+            best_k = i1
+            best = run_cost(first[lo:hi], h_cap) + run_cost(v[i1][jlo:jhi], v_cap)
+            c = run_cost(v[i0][jlo:jhi], v_cap) + run_cost(last[lo:hi], h_cap)
+            if c < best:
+                best_k, best = i0, c
+            for k in _z_columns(lo, hi) if with_z else ():
+                a, b = (first[i0:k], last[k:i1]) if i0 < i1 else (
+                    first[k:i0], last[i1:k])
+                c = (
+                    run_cost(a, h_cap) + run_cost(v[k][jlo:jhi], v_cap)
+                    + run_cost(b, h_cap)
                 )
-                options.append((f"z:{int(k)}", cost))
-        shape = min(options, key=lambda t: t[1])[0]
-        if shape == "hv":
-            grid.add_horizontal(i0, i1, j0)
-            grid.add_vertical(i1, j0, j1)
-        elif shape == "vh":
-            grid.add_vertical(i0, j0, j1)
-            grid.add_horizontal(i0, i1, j1)
-        else:
-            k = int(shape.split(":")[1])
-            grid.add_horizontal(i0, k, j0)
-            grid.add_vertical(k, j0, j1)
-            grid.add_horizontal(k, i1, j1)
-        return shape
+                if c < best:
+                    best_k, best = k, c
+            return best_k
+
+        def commit(i0: int, j0: int, i1: int, j1: int, k: int, amount: float):
+            for run, a, b in ((h[j0], i0, k), (v[k], j0, j1), (h[j1], k, i1)):
+                if a > b:
+                    a, b = b, a
+                run[a:b] = [u + amount for u in run[a:b]]
+
+        rows = edges.tolist()
+        columns = []
+        for i0, j0, i1, j1 in rows:
+            k = cheapest(i0, j0, i1, j1, False)
+            commit(i0, j0, i1, j1, k, 1.0)
+            columns.append(k)
+
+        for __ in range(self.rrr_passes):
+            self._store(h, v)
+            if grid.total_overflow() <= 0:
+                break
+            for e in np.flatnonzero(self._crossing(edges)).tolist():
+                i0, j0, i1, j1 = rows[e]
+                commit(i0, j0, i1, j1, columns[e], -1.0)
+                columns[e] = cheapest(i0, j0, i1, j1, True)
+                commit(i0, j0, i1, j1, columns[e], 1.0)
+        self._store(h, v)
+        return columns
+
+    def _store(self, h: List[List[float]], v: List[List[float]]) -> None:
+        self.grid.h_demand[:] = np.array(h).T
+        self.grid.v_demand[:] = v
+
+    def _crossing(self, edges: np.ndarray) -> np.ndarray:
+        """Edges whose bounding box holds an overflowed g-cell (one 2-D
+        prefix count over the current overflow map)."""
+        m = self.grid.m
+        count = np.zeros((m + 1, m + 1), dtype=np.int64)
+        count[1:, 1:] = (self.grid.overflow_map() > 0).cumsum(0).cumsum(1)
+        lo_i = np.minimum(edges[:, 0], edges[:, 2])
+        hi_i = np.maximum(edges[:, 0], edges[:, 2]) + 1
+        lo_j = np.minimum(edges[:, 1], edges[:, 3])
+        hi_j = np.maximum(edges[:, 1], edges[:, 3]) + 1
+        inside = (
+            count[hi_i, hi_j] - count[lo_i, hi_j]
+            - count[hi_i, lo_j] + count[lo_i, lo_j]
+        )
+        return inside > 0
+
+
+def _z_columns(lo: int, hi: int) -> Tuple[int, ...]:
+    """The Z split columns tried between ``lo`` and ``hi``: up to three,
+    evenly spaced over ``lo + 1 .. hi - 1`` and truncated, as
+    ``np.linspace(lo + 1, hi - 1, min(3, hi - lo - 1)).astype(int)``."""
+    span = hi - lo
+    if span < 2:
+        return ()
+    if span == 2:
+        return (lo + 1,)
+    if span == 3:
+        return (lo + 1, lo + 2)
+    return (lo + 1, lo + 1 + (span - 2) // 2, hi - 1)
