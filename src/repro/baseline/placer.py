@@ -268,12 +268,8 @@ class DreamPlaceStyleBaseline:
         region = netlist.region
         mov = netlist.movable_index
         fillers = self.density.fillers
-        hw = np.concatenate(
-            [netlist.cell_w[mov] / 2, np.full(fillers.count, fillers.width / 2)]
-        )
-        hh = np.concatenate(
-            [netlist.cell_h[mov] / 2, np.full(fillers.count, fillers.height / 2)]
-        )
+        hw = np.concatenate([netlist.cell_w[mov] / 2, fillers.w / 2])
+        hh = np.concatenate([netlist.cell_h[mov] / 2, fillers.h / 2])
 
         def clamp(px, py):
             return region.clamp(px, py, hw, hh)

@@ -79,26 +79,15 @@ class XPlacer:
         self.params = params or PlacementParams()
         rng = np.random.default_rng(self.params.seed)
         grid = BinGrid.for_netlist(netlist, self.params.grid_m)
-        if netlist.fences and self.params.fence_mode == "multi":
-            from repro.density.multi import MultiRegionDensitySystem
-
-            self.density = MultiRegionDensitySystem(
-                netlist,
-                target_density=self.params.target_density,
-                grid=grid,
-                extraction=self.params.density_extraction,
-                use_fillers=self.params.use_fillers,
-                rng=rng,
-            )
-        else:
-            self.density = DensitySystem(
-                netlist,
-                target_density=self.params.target_density,
-                grid=grid,
-                extraction=self.params.density_extraction,
-                use_fillers=self.params.use_fillers,
-                rng=rng,
-            )
+        self.density = DensitySystem(
+            netlist,
+            target_density=self.params.target_density,
+            grid=grid,
+            extraction=self.params.density_extraction,
+            use_fillers=self.params.use_fillers,
+            rng=rng,
+            fence_groups=self.params.fence_mode == "multi",
+        )
         # The predictor reaches the engine only when guidance is enabled.
         predictor = field_predictor if self.params.neural_guidance else None
         self.engine = GradientEngine(netlist, self.density, self.params, predictor)
@@ -459,12 +448,8 @@ class XPlacer:
         region = netlist.region
         mov = netlist.movable_index
         fillers = self.density.fillers
-        hw = np.concatenate(
-            [netlist.cell_w[mov] / 2, np.full(fillers.count, fillers.width / 2)]
-        )
-        hh = np.concatenate(
-            [netlist.cell_h[mov] / 2, np.full(fillers.count, fillers.height / 2)]
-        )
+        hw = np.concatenate([netlist.cell_w[mov] / 2, fillers.w / 2])
+        hh = np.concatenate([netlist.cell_h[mov] / 2, fillers.h / 2])
         from repro.core.fences import FenceProjector
 
         projector = FenceProjector(netlist, fillers.count)

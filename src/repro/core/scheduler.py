@@ -15,6 +15,14 @@ import numpy as np
 
 from repro.core.params import PlacementParams
 
+#: Ceiling on λ.  While overflow is above ``stop_overflow`` and HPWL
+#: does not grow, every update multiplies λ by up to ``mu_max``; a run
+#: whose overflow stalls above an unreachable target would overflow
+#: float64 after a few thousand iterations and end in a numerical fault
+#: instead of at ``max_iterations``.  Converging runs stop with λ
+#: below 1 on the suite designs.
+LAMBDA_MAX = 1e30
+
 
 class Scheduler:
     """Owns γ, λ and the stop decision for one GP run."""
@@ -68,7 +76,7 @@ class Scheduler:
             delta = hpwl - self._prev_hpwl
             mu = params.mu0 ** (1.0 - delta / params.delta_hpwl_ref)
             mu = float(np.clip(mu, params.mu_min, params.mu_max))
-        self.lam *= mu
+        self.lam = min(self.lam * mu, LAMBDA_MAX)
         self._prev_hpwl = hpwl
 
     # ------------------------------------------------------------------

@@ -9,7 +9,9 @@ ratio (Eq. 7) measures spreading progress.
 :class:`DensitySystem` wires these together and implements the paper's
 *operator extraction* (Section 3.1.2): the movable density map D is
 computed once and shared between the overflow operator and the solver
-input D̃ = D + D_fl.
+input D̃ = D + D_fl.  With ``fence_groups=True`` on a fenced netlist the
+same system solves one field per cell group (DREAMPlace 3.0
+multi-electrostatics); the plain system is its one-group case.
 """
 
 from repro.density.bins import BinGrid

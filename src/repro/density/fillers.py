@@ -10,8 +10,7 @@ their size is the typical standard-cell size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Tuple
+from dataclasses import dataclass
 
 import numpy as np
 from repro.dtypes import FLOAT
@@ -21,28 +20,37 @@ from repro.netlist import Netlist
 
 @dataclass
 class FillerCells:
-    """Geometry and (mutable) positions of the filler population."""
+    """Per-filler extents and (mutable) positions of the filler population.
 
-    width: float
-    height: float
+    ``w``/``h`` are built once: every evaluation, gather and clamp reads
+    them.  A fence-grouped density system concatenates one population per
+    group, each with its own filler size.
+    """
+
     x: np.ndarray
     y: np.ndarray
+    w: np.ndarray
+    h: np.ndarray
+
+    @staticmethod
+    def of_size(
+        width: float, height: float, x: np.ndarray, y: np.ndarray
+    ) -> "FillerCells":
+        """Fillers of one size at ``(x, y)``."""
+        return FillerCells(
+            x=x,
+            y=y,
+            w=np.full(x.shape[0], width, dtype=FLOAT),
+            h=np.full(x.shape[0], height, dtype=FLOAT),
+        )
 
     @property
     def count(self) -> int:
         return int(self.x.shape[0])
 
     @property
-    def w(self) -> np.ndarray:
-        return np.full(self.count, self.width, dtype=FLOAT)
-
-    @property
-    def h(self) -> np.ndarray:
-        return np.full(self.count, self.height, dtype=FLOAT)
-
-    @property
     def total_area(self) -> float:
-        return self.count * self.width * self.height
+        return float(np.dot(self.w, self.h))
 
     @staticmethod
     def for_netlist(
@@ -76,4 +84,4 @@ class FillerCells:
         count = int(filler_area / (width * height))
         x = rng.uniform(region.xl + width / 2, region.xh - width / 2, count)
         y = rng.uniform(region.yl + height / 2, region.yh - height / 2, count)
-        return FillerCells(width=width, height=height, x=x, y=y)
+        return FillerCells.of_size(width, height, x, y)

@@ -70,6 +70,17 @@ class TestScheduler:
             sched.update(overflow=0.9, hpwl=1000.0 + i)
         assert sched.lam > lam0
 
+    def test_lambda_stops_at_ceiling(self):
+        # A stalled run keeps multiplying λ by μ; it must level off at
+        # LAMBDA_MAX instead of overflowing to inf.
+        from repro.core.scheduler import LAMBDA_MAX
+
+        sched = Scheduler(PlacementParams(), bin_size=1.0)
+        sched.initialize_lambda(100.0, 10.0)
+        for _ in range(10000):
+            sched.update(overflow=0.5, hpwl=1000.0)
+        assert sched.lam == LAMBDA_MAX
+
     def test_mu_clamped_on_hpwl_spike(self):
         params = PlacementParams(delta_hpwl_ref=100.0)
         sched = Scheduler(params, bin_size=1.0)

@@ -224,8 +224,10 @@ class TestFillers:
         fixed_area = float(np.sum(nl.cell_area[~nl.movable]))
         free = nl.region.area - fixed_area
         expected = max(0.9 * free - nl.movable_area, 0.0)
-        assert fillers.total_area <= expected + fillers.width * fillers.height
-        assert fillers.total_area >= expected - fillers.width * fillers.height
+        one = fillers.w[0] * fillers.h[0]
+        assert np.all(fillers.w * fillers.h == one)
+        assert fillers.total_area <= expected + one
+        assert fillers.total_area >= expected - one
 
     def test_fillers_inside_region(self):
         nl = generate_circuit(CircuitSpec("fl2", num_cells=200))

@@ -25,7 +25,6 @@ from repro.core.gradient_engine import GradientEngine
 from repro.core.initializer import initial_positions
 from repro.density import BinGrid, DensityScatter, DensitySystem
 from repro.density.electrostatics import ElectrostaticSolver
-from repro.density.multi import MultiRegionDensitySystem
 from repro.density.scatter import _overlap_matrix, rasterize_exact
 from repro.dtypes import FLOAT, INT
 from repro.netlist import PlacementRegion
@@ -508,8 +507,9 @@ class TestNoAliasing:
             self._check(ws, run)
 
     def test_multi_region_density_result(self, fenced):
-        system = MultiRegionDensitySystem(fenced, 0.9,
-                                          rng=np.random.default_rng(0))
+        system = DensitySystem(fenced, 0.9, rng=np.random.default_rng(0),
+                               fence_groups=True)
+        assert len(system.groups) == len(fenced.fences) + 1
 
         def evaluate(seed):
             res = system.evaluate(*placement(fenced, seed))
@@ -576,8 +576,9 @@ class TestArenaSteadyState:
 
     def test_no_new_allocations_after_warmup_multi_fence(self, fenced):
         params = PlacementParams(fence_mode="multi", operator_skipping=False)
-        density = MultiRegionDensitySystem(
-            fenced, params.target_density, rng=np.random.default_rng(1)
+        density = DensitySystem(
+            fenced, params.target_density, rng=np.random.default_rng(1),
+            fence_groups=True,
         )
         engine = GradientEngine(fenced, density, params)
         assert density.scatter.workspace is engine.workspace
@@ -591,8 +592,8 @@ class TestArenaSteadyState:
         # The density systems on their own: the incidence handles and
         # their scratch are all warm after the first evaluation.
         single = DensitySystem(netlist, rng=np.random.default_rng(1))
-        multi = MultiRegionDensitySystem(fenced, 0.9,
-                                         rng=np.random.default_rng(0))
+        multi = DensitySystem(fenced, 0.9, rng=np.random.default_rng(0),
+                              fence_groups=True)
         for system, design in ((single, netlist), (multi, fenced)):
             ws = system.workspace
             system.evaluate(*placement(design, 0))

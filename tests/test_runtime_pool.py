@@ -539,11 +539,19 @@ class TestNothingLeftBehind:
         import multiprocessing
         from multiprocessing import shared_memory
 
-        assert multiprocessing.active_children() == []
+        children = multiprocessing.active_children()
+        assert children == [], "live children: " + ", ".join(
+            f"pid={c.pid} name={c.name} exitcode={c.exitcode}"
+            for c in children)
         assert segments
+        linked = []
         for name in segments:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
+            try:
+                shared_memory.SharedMemory(name=name).close()
+            except FileNotFoundError:
+                continue
+            linked.append(name)
+        assert linked == [], f"still-linked segments: {linked}"
 
     def test_after_normal_run(self, segments):
         results = WorkerPool(max_workers=2).run(
