@@ -13,7 +13,7 @@ Commands
               over source paths; exit 0 clean / 1 violations / 2 usage
 ``serve``     run the placement daemon (HTTP job API, warm workers)
 ``chaos``     seeded service-chaos soak: boot a real daemon against a
-              deterministic service fault plan (hung workers, slow I/O,
+              deterministic fault plan (hung workers, slow I/O,
               shm unlinks, cache/journal corruption, crash-on-attach),
               audit that no ticket is lost and recovery is bit-identical,
               and write a CHAOS_report.json artifact

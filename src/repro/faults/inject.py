@@ -4,6 +4,7 @@ actual failures at the seams the real system fails through.
 Loop faults ride the :class:`~repro.core.callbacks.IterationCallback`
 protocol (:class:`FaultCallback`), so they hit exactly the surface a
 real NaN, hang or crash would — no special hooks inside the engine.
+``crash-on-attach`` fires earlier, at pickup (:func:`crash_on_attach`).
 Cache corruption (:func:`corrupt_cache_entry`) writes garbage over a
 stored entry the way a torn disk write would.
 """
@@ -109,6 +110,18 @@ def loop_fault_callback(
     if not specs:
         return None
     return FaultCallback(specs, hard_exit=hard_exit, resumed=resumed)
+
+
+def crash_on_attach(plan: Optional[FaultPlan], job_id: str,
+                    attempt: Optional[int]) -> None:
+    """Hard-exit this worker process at pickup if a ``crash-on-attach``
+    spec for ``job_id`` covers ``attempt`` (1-based): the parent sees a
+    dead worker holding the ticket and retries it as a crash."""
+    if plan is None or attempt is None:
+        return
+    for spec in plan.for_job(job_id):
+        if spec.kind == "crash-on-attach" and attempt <= spec.count:
+            os._exit(spec.exitcode)
 
 
 def corrupt_cache_entry(cache, job) -> Optional[str]:

@@ -56,8 +56,6 @@ Event kinds
 ``shed``        the brownout controller refused a submission (service
                 degraded or draining) — the payload carries the state,
                 priority and the Retry-After hint
-``chaos``       the chaos harness injected a service fault — the
-                payload names the fault kind and its target
 """
 
 from __future__ import annotations
@@ -90,7 +88,6 @@ EVENT_KINDS = (
     "quarantine",
     "breaker",
     "shed",
-    "chaos",
 )
 
 

@@ -165,15 +165,13 @@ class PlacementService:
             path=os.path.join(self.state_dir, "events.jsonl")
         )
         self.supervision = supervision or SupervisionConfig()
-        self.fault_plan = fault_plan     # chaos harness seams (or None)
         self.supervisor = Supervisor(self.supervision,
                                      on_event=self.events.emit)
         self.cache = GuardedResultCache(
             ResultCache(os.path.join(self.state_dir, "cache")),
             breaker=self.supervisor.breakers["cache"],
             slow_op_seconds=self.supervision.slow_op_seconds,
-            fault_hook=(fault_plan.io_hook("cache-get", "cache-put")
-                        if fault_plan is not None else None),
+            fault_hook=fault_plan.io_hook if fault_plan is not None else None,
         )
         self.scheduler = Scheduler(cache=self.cache, events=self.events,
                                    quotas=quotas,
@@ -194,8 +192,7 @@ class PlacementService:
         self.journal = Journal(
             self._journal_path,
             breaker=self.supervisor.breakers["journal"],
-            fault_hook=(fault_plan.io_hook("journal-append")
-                        if fault_plan is not None else None),
+            fault_hook=fault_plan.io_hook if fault_plan is not None else None,
             slow_op_seconds=self.supervision.slow_op_seconds,
             max_buffered=self.supervision.journal_buffer,
         )
@@ -287,8 +284,6 @@ class PlacementService:
             self.scheduler, self.pool, self.supervisor, self.events,
             retry_backoff=self.retry_backoff,
             retry_backoff_max=self.retry_backoff_max,
-            chaos_for=(self._dispatch_chaos
-                       if self.fault_plan is not None else None),
         )
         self._loop_thread = threading.Thread(
             target=self._loop, daemon=True, name="placement-service-loop"
@@ -426,17 +421,6 @@ class PlacementService:
             self.events.emit("interrupted", active.entry.job.job_id,
                              ticket=active.entry.ticket,
                              attempt=active.attempt, resumable=True)
-
-    def _dispatch_chaos(self, entry: ScheduledJob) -> Optional[dict]:
-        """The fault plan's dispatch seam (chaos harness): the injected
-        fault, if any, rides the task message to the worker."""
-        chaos = self.fault_plan.dispatch_chaos(entry.job.job_id,
-                                               entry.attempts)
-        if chaos is not None:
-            self.events.emit("chaos", entry.job.job_id,
-                             fault="crash-on-attach", ticket=entry.ticket,
-                             attempt=entry.attempts)
-        return chaos
 
 
 # -- HTTP layer --------------------------------------------------------

@@ -90,8 +90,6 @@ class Lifecycle:
 
     ``stop_when`` (a race) halts dispatch as soon as a resolved result
     satisfies it — :attr:`halted` tells the caller to cut the field.
-    ``chaos_for(entry)`` is the fault harness's dispatch seam: the dict
-    it returns rides the task message to the worker.
     """
 
     def __init__(
@@ -103,7 +101,6 @@ class Lifecycle:
         retry_backoff: float = 0.25,
         retry_backoff_max: float = 30.0,
         stop_when: Optional[Callable[[JobResult], bool]] = None,
-        chaos_for: Optional[Callable[[ScheduledJob], Optional[dict]]] = None,
     ) -> None:
         self.scheduler = scheduler
         self.pool = pool
@@ -112,7 +109,6 @@ class Lifecycle:
         self.retry_backoff = float(retry_backoff)
         self.retry_backoff_max = float(retry_backoff_max)
         self.stop_when = stop_when
-        self.chaos_for = chaos_for
         self.active: Dict[str, Attempt] = {}
         self.halted = False
         self._budgets: Dict[str, _Budget] = {}
@@ -153,9 +149,8 @@ class Lifecycle:
                 if hit is not None:
                     self._check_stop(hit)
                     continue
-            chaos = self.chaos_for(entry) if self.chaos_for else None
             worker = pool.submit(entry.ticket, entry.job,
-                                 resume=entry.resume, chaos=chaos,
+                                 resume=entry.resume,
                                  attempt=entry.attempts)
             timeout = entry.job.timeout
             now = time.perf_counter()

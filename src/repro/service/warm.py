@@ -55,6 +55,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.callbacks import IterationCallback
+from repro.faults.inject import crash_on_attach
 from repro.netlist import Netlist
 from repro.netlist.fence import FenceRegion
 from repro.netlist.region import PlacementRegion, Row
@@ -372,13 +373,9 @@ def _warm_worker_main(worker_id: int, tasks, out, heartbeat_every: int,
             if cancel_event is not None:
                 cancel_event.clear()
             send({"event": "_picked", "pid": os.getpid(), **reply})
-            chaos = message.get("chaos") or {}
-            if chaos.get("crash_on_attach") and cancel_event is None:
-                # Injected repeated crash-on-pickup (chaos harness):
-                # die the instant the job is picked, before any design
-                # work — the parent sees a dead worker holding the
-                # ticket, exactly like a worker whose attach segfaults.
-                os._exit(int(chaos.get("exitcode", 173)))
+            if cancel_event is None:
+                crash_on_attach(job.fault_plan(), job.job_id,
+                                message.get("attempt"))
             key = design_key(job)
             load_started = time.perf_counter()
             netlist = None
@@ -437,6 +434,17 @@ def _warm_worker_main(worker_id: int, tasks, out, heartbeat_every: int,
         evict_to(0)
         tasks.close()
         out.close()
+
+
+def _reap(process) -> None:
+    """Terminate a process worker and wait until it is gone.  A worker
+    still running an inherited SIGTERM handler (see
+    :func:`_warm_worker_main`) ignores ``terminate()``: escalate."""
+    process.terminate()
+    process.join(timeout=1.0)
+    if process.is_alive():
+        process.kill()
+        process.join()
 
 
 # -- the pool ----------------------------------------------------------
@@ -614,14 +622,12 @@ class WarmPool:
     def submit(self, ticket: str, job: PlacementJob,
                resume: bool = False,
                worker_id: Optional[int] = None,
-               chaos: Optional[Dict[str, Any]] = None,
                attempt: Optional[int] = None) -> int:
         """Hand one job to a worker; returns the worker id.
 
         Prefers an idle worker that already has the design resident
         (warm dispatch); the caller must keep submissions ≤ idle
         workers — an over-submit queues behind the busy worker.
-        ``chaos`` rides the task message untouched (fault harness);
         ``attempt`` is echoed in the worker's ``_picked`` / ``_result``
         so a late message of an earlier attempt can be told apart.
         """
@@ -662,8 +668,7 @@ class WarmPool:
         with contextlib.suppress(OSError):
             handle.tasks.send({"kind": "job", "ticket": ticket,
                                "attempt": attempt, "job": job.to_dict(),
-                               "resume": bool(resume), "manifest": manifest,
-                               "chaos": chaos})
+                               "resume": bool(resume), "manifest": manifest})
         return worker_id
 
     def consume_manifest_flag(self, ticket: str) -> bool:
@@ -734,8 +739,7 @@ class WarmPool:
                 handle.cancel_event.set()
             handle.busy = None
             return
-        handle.runner.terminate()
-        handle.runner.join(timeout=5)
+        _reap(handle.runner)
         with self._lock:
             self._workers.pop(worker_id, None)
         handle.tasks.close()
@@ -761,8 +765,7 @@ class WarmPool:
         for handle in handles:
             handle.runner.join(timeout=timeout)
             if not self.inline and handle.runner.is_alive():
-                handle.runner.terminate()
-                handle.runner.join(timeout=1)
+                _reap(handle.runner)
             handle.tasks.close()
             handle.inbox.close()
         with self._lock:

@@ -33,7 +33,7 @@ package closes that loop:
 
 :mod:`repro.supervision.chaos`
     The ``repro chaos`` soak harness: drives a real daemon through a
-    seeded :class:`~repro.faults.service.ServiceFaultPlan` and emits a
+    seeded :class:`~repro.faults.plan.FaultPlan` and emits a
     :class:`ChaosReport` proving every ticket terminates, none are
     lost, and recovery is bit-identical.
 """

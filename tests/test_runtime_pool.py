@@ -587,6 +587,71 @@ class TestNothingLeftBehind:
         assert all(r.status == "interrupted" for r in results)
         self.assert_clean(segments)
 
+    def test_worker_ignoring_sigterm_is_killed(self, monkeypatch):
+        """A worker forked while the parent's SIGTERM handler is armed
+        runs that handler until ``_warm_worker_main`` restores the
+        default; ``kill_worker`` and ``shutdown`` must escalate past a
+        ``terminate()`` it ignores instead of leaving it running."""
+        import multiprocessing
+
+        import repro.service.warm as warm
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("needs the fork start method")
+        monkeypatch.setattr(warm, "_warm_worker_main", _ignore_sigterm)
+        pool = warm.WarmPool(workers=2, start_method="fork")
+        handles = [pool._spawn(0), pool._spawn(1)]
+        try:
+            for handle in handles:     # SIGTERM is ignored from here on
+                assert handle.inbox.poll(10), "worker never started"
+                assert handle.inbox.recv() == "ready"
+            pool.kill_worker(0, respawn=False)
+            assert not handles[0].runner.is_alive()
+            pool.shutdown(timeout=0.2)
+            assert not handles[1].runner.is_alive()
+        finally:
+            for handle in handles:
+                if handle.runner.is_alive():
+                    handle.runner.kill()
+                handle.runner.join(timeout=5)
+
+
+def _ignore_sigterm(worker_id, tasks, out, *_):
+    """A warm-worker stand-in that ignores SIGTERM (and exits once
+    orphaned, or after a minute, so a failing run leaves nothing)."""
+    import os
+    import signal
+
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    parent = os.getppid()
+    out.send("ready")
+    deadline = time.monotonic() + 60
+    while os.getppid() == parent and time.monotonic() < deadline:
+        time.sleep(0.05)
+
+
+class TestCrashOnAttach:
+    """``crash-on-attach`` rides the job's own plan, so a batch runs it
+    through the same worker pickup path as the daemon."""
+
+    def job(self):
+        return make_job(seed=1, retries=3, faults={"faults": [
+            {"kind": "crash-on-attach", "count": 2}]})
+
+    def test_process_worker_crashes_count_attempts_then_runs(self):
+        log = EventLog()
+        results = WorkerPool(max_workers=2, retry_backoff=0.01).run(
+            [self.job()], events=log)
+        assert results[0].status == "done"
+        assert results[0].attempts == 3
+        retries = log.of_kind("retry")
+        assert [r.payload["reason"] for r in retries] == ["crash", "crash"]
+
+    def test_thread_worker_ignores_it(self):
+        results = WorkerPool(max_workers=1).run([self.job()])
+        assert results[0].status == "done"
+        assert results[0].attempts == 1
+
 
 class TestOneEventSchema:
     """``started``/``finished``/``failed``/``retry`` carry the same
