@@ -111,6 +111,8 @@ class PlacementJob:
             # Accept a FaultPlan object for convenience; store its dict
             # form so the job stays JSON-serializable.
             self.faults = self.faults.to_dict()
+        if self.faults is not None:
+            self._check_faults()
         if self.fork is not None and not isinstance(self.fork, dict):
             # Same convenience for ForkSpec objects.
             self.fork = self.fork.to_dict()
@@ -130,6 +132,24 @@ class PlacementJob:
             return ForkSpec.from_dict(self.fork)
         except (KeyError, TypeError, ValueError) as err:
             raise ValueError(f"bad fork spec: {err}") from None
+
+    def _check_faults(self) -> None:
+        """Reject a plan that does not parse, or that holds a kind the
+        worker never applies (the service kinds take effect only under
+        ``repro chaos``), so it cannot ride a job and silently not fire."""
+        from repro.faults.plan import WORKER_KINDS
+
+        try:
+            plan = self.fault_plan()
+        except (KeyError, TypeError, ValueError) as err:
+            raise ValueError(f"bad fault plan: {err}") from None
+        inert = sorted({spec.kind for spec in plan.faults}
+                       - set(WORKER_KINDS))
+        if inert:
+            raise ValueError(
+                f"fault kinds {inert} do not fire inside a job "
+                f"(job plans take {WORKER_KINDS})"
+            )
 
     def fault_plan(self):
         """The job's :class:`~repro.faults.FaultPlan`, or None."""
