@@ -17,7 +17,7 @@ from repro.wirelength.wa_autograd import AutogradWirelengthOp
 
 _table = TableCollector(
     "Operator microbenchmarks (one evaluation each)",
-    f"{'operator':<36} {'launches':>9}",
+    f"{'operator':<36} {'launches':>9} {'entries':>9}",
 )
 
 
@@ -71,7 +71,8 @@ def test_density_extracted(benchmark, workload):
     benchmark(lambda: system.evaluate(x, y))
     with use_profiler() as profiler:
         system.evaluate(x, y)
-    _table.add(f"{'density extracted (OE on)':<36} {profiler.total:>9}")
+    _table.add(f"{'density extracted (OE on)':<36} {profiler.total:>9} "
+               f"{profiler.entries['density_scatter_cells']:>9}")
 
 
 def test_density_fused(benchmark, workload):
@@ -81,4 +82,5 @@ def test_density_fused(benchmark, workload):
     benchmark(lambda: system.evaluate(x, y))
     with use_profiler() as profiler:
         system.evaluate(x, y)
-    _table.add(f"{'density fused (OE off)':<36} {profiler.total:>9}")
+    _table.add(f"{'density fused (OE off)':<36} {profiler.total:>9} "
+               f"{profiler.entries['density_scatter_cells']:>9}")

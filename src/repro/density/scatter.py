@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.density.bins import BinGrid
 from repro.dtypes import BOOL, FLOAT, INT
-from repro.ops import profiled, timed
+from repro.ops import get_profiler, profiled, timed
 from repro.perf.workspace import Workspace
 
 _SQRT2 = math.sqrt(2.0)
@@ -305,9 +305,9 @@ class DensityScatter:
 
         idx, wgt = windows
         profiled("density_scatter")
-        # Work metric: cell–bin entries scattered (operator extraction
-        # saves duplicated entries over the same cells).
-        profiled("density_scatter_cells", idx.size)
+        # Work metric, not launches: cell–bin entries scattered (operator
+        # extraction saves duplicated entries over the same cells).
+        get_profiler().add_entries("density_scatter_cells", idx.size)
         # Pass-major order adds each bin's addends in the same order as
         # one np.add.at per window offset would; the zero-weight
         # off-grid entries add exact zeros.

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -29,6 +29,8 @@ class DetailedPlacementResult:
     #: Applied moves per operator (``reorder``/``swap``/``ism``); they
     #: sum to ``moves_applied``.
     moves_by_operator: Dict[str, int] = field(default_factory=dict)
+    #: Wall-clock seconds per operator, summed over passes.
+    seconds_by_operator: Dict[str, float] = field(default_factory=dict)
 
     @property
     def improvement(self) -> float:
@@ -50,9 +52,12 @@ class DetailedPlacer:
     ``max_passes`` is reached.  Requires a legal input placement and
     keeps it legal.
 
-    Moves are applied one at a time, but each decision scores all of its
-    candidates at once: a window's permutations and an ISM batch's cost
-    matrix are each one :meth:`_trial_hpwl` call.  The scores are
+    Moves are applied one at a time.  Local reordering scores each window
+    in scalar Python (:meth:`_window_scores`): the other pins' box of each
+    net is built once per window and every permutation only folds in the
+    window's own pins.  Global swap and ISM score all of a decision's
+    candidates at once: a swap batch's trials and an ISM batch's cost
+    matrix are each one :meth:`_trial_hpwl` call.  Every score is
     bit-identical to evaluating the candidates one by one, so every
     decision matches the sequential rule.
 
@@ -85,10 +90,9 @@ class DetailedPlacer:
         self.ism_batch = ism_batch
         self.min_gain = min_gain
         identity = tuple(range(window))
-        self._perms = np.array(
-            [p for p in itertools.permutations(identity) if p != identity],
-            dtype=np.int64,
-        ).reshape(-1, window)
+        self._perms = [
+            p for p in itertools.permutations(identity) if p != identity
+        ]
         self._build_adjacency()
 
     def _build_adjacency(self) -> None:
@@ -102,17 +106,20 @@ class DetailedPlacer:
         counts = np.bincount(cells, minlength=nl.num_cells)
         self._cell_net_start = np.concatenate(([0], np.cumsum(counts)))
         self._cell_nets = nets
+        # Scalar views for local reordering: each cell's wide nets (two
+        # or more pins) ascending, each wide net's (cell, dx) pins.
+        wide = nl.net_mask[nets]
+        self._cell_wide_nets: List[List[int]] = [[] for _ in range(nl.num_cells)]
+        for cell, net in zip(cells[wide].tolist(), nets[wide].tolist()):
+            self._cell_wide_nets[cell].append(net)
+        pins = list(zip(nl.pin2cell.tolist(), nl.pin_dx.tolist()))
+        bounds = nl.net_start.tolist()
+        self._net_pins = [
+            pins[lo:hi] if keep else []
+            for keep, lo, hi in zip(nl.net_mask.tolist(), bounds, bounds[1:])
+        ]
 
     # ------------------------------------------------------------------
-    def nets_of(self, cells: Sequence[int]) -> np.ndarray:
-        pieces = [
-            self._cell_nets[self._cell_net_start[c] : self._cell_net_start[c + 1]]
-            for c in cells
-        ]
-        if not pieces:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(pieces))
-
     def _cell_net_slice(self, cell: int) -> np.ndarray:
         """The nets of one cell, ascending (a view into the CSR)."""
         return self._cell_nets[
@@ -177,12 +184,19 @@ class DetailedPlacer:
         rows = PlacementRows(self.netlist, x, y)
         before = hpwl_fn(self.netlist, rows.x, rows.y)
         current = before
-        moves = {"reorder": 0, "swap": 0, "ism": 0}
+        operators = (
+            ("reorder", self._local_reorder_pass),
+            ("swap", self._global_swap_pass),
+            ("ism", self._ism_pass),
+        )
+        moves = {name: 0 for name, _ in operators}
+        seconds = {name: 0.0 for name, _ in operators}
         passes = 0
         for passes in range(1, self.max_passes + 1):
-            moves["reorder"] += self._local_reorder_pass(rows)
-            moves["swap"] += self._global_swap_pass(rows)
-            moves["ism"] += self._ism_pass(rows)
+            for name, operator in operators:
+                tic = time.perf_counter()
+                moves[name] += operator(rows)
+                seconds[name] += time.perf_counter() - tic
             after = hpwl_fn(self.netlist, rows.x, rows.y)
             gain = (current - after) / max(current, 1e-12)
             current = after
@@ -197,58 +211,141 @@ class DetailedPlacer:
             passes=passes,
             moves_applied=sum(moves.values()),
             moves_by_operator=moves,
+            seconds_by_operator=seconds,
         )
 
     # ------------------------------------------------------------------
     # Operator 1: local reordering
     # ------------------------------------------------------------------
-    def _local_reorder_pass(self, rows: PlacementRows) -> int:
+    def _net_y_bounds(self, y: np.ndarray) -> Tuple[List[float], List[float]]:
+        """Each wide net's lowest and highest pin y (inf/-inf for the
+        rest); local reordering never moves a cell off its row."""
         nl = self.netlist
-        perms = self._perms
+        lo = np.full(nl.num_nets, np.inf)
+        hi = np.full(nl.num_nets, -np.inf)
+        wide = np.flatnonzero(nl.net_mask)
+        if len(wide):
+            degree = nl.net_degree[wide]
+            pins = concat_ranges(nl.net_start[wide], degree)
+            py = y[nl.pin2cell[pins]] + nl.pin_dy[pins]
+            starts = np.cumsum(degree) - degree
+            lo[wide] = np.minimum.reduceat(py, starts)
+            hi[wide] = np.maximum.reduceat(py, starts)
+        return lo.tolist(), hi.tolist()
+
+    def _window_scores(
+        self,
+        window: List[int],
+        trials: List[List[float]],
+        xs: List[float],
+        y_bounds: Tuple[List[float], List[float]],
+    ) -> List[float]:
+        """Weighted HPWL of the window's wide nets for each trial, the
+        window's cells at x ``trials[t]`` (``[]`` if it has no wide net).
+
+        Each net's x box over its pins outside the window is built once;
+        a trial only folds in the window's own pins.  Every score equals
+        :meth:`_trial_hpwl`'s bit for bit: min/max are exact, each span
+        is formed in the same order and each trial is reduced by the same
+        ``np.dot``.
+        """
+        nets = sorted(set().union(*(self._cell_wide_nets[c] for c in window)))
+        if not nets:
+            return []
+        net_pins = self._net_pins
+        lo_y, hi_y = y_bounds
+        slot = {c: j for j, c in enumerate(window)}
+        boxes = []
+        for net in nets:
+            lo_x, hi_x = np.inf, -np.inf
+            own = []
+            for cell, dx in net_pins[net]:
+                if cell in slot:
+                    own.append((slot[cell], dx))
+                    continue
+                px = xs[cell] + dx
+                if px < lo_x:
+                    lo_x = px
+                if px > hi_x:
+                    hi_x = px
+            boxes.append((lo_x, hi_x, lo_y[net], hi_y[net], own))
+        spans = []
+        for pos in trials:
+            for lo_x, hi_x, lo, hi, own in boxes:
+                for j, dx in own:
+                    px = pos[j] + dx
+                    if px < lo_x:
+                        lo_x = px
+                    if px > hi_x:
+                        hi_x = px
+                spans.append(hi_x - lo_x + hi - lo)
+        weights = self.netlist.net_weight[nets]
+        return [
+            np.dot(row, weights)
+            for row in np.array(spans).reshape(len(trials), len(nets))
+        ]
+
+    def _local_reorder_pass(self, rows: PlacementRows) -> int:
+        """Slide a window of ``self.window`` consecutive cells along every
+        segment and apply its best repacking when that shortens its nets.
+
+        Windows slide by one over the live segment lists, so each sees
+        the moves applied before it; see :meth:`_window_scores`.
+        """
+        nl = self.netlist
+        size = self.window
+        width = nl.cell_w.tolist()
+        fence = nl.cell_fence.tolist()
+        y_bounds = self._net_y_bounds(rows.y)
+        # Moves are written to both this copy and ``rows.x``.
+        xs = rows.x.tolist()
         applied = 0
-        for row_i, seg_i, window in rows.iter_windows(self.window):
-            window = np.array(window)
-            # Fence guard: reordering across groups could leak a cell out
-            # of (or into) a fence; same-group windows are always safe.
-            if len(np.unique(nl.cell_fence[window])) > 1:
-                continue
-            nets = self.nets_of(window)
-            widths = nl.cell_w[window]
-            left0 = rows.x[window[0]] - widths[0] / 2
-            # Right bound: next neighbour or segment end.
-            cells = rows.members[row_i][seg_i]
-            last_pos = cells.index(window[-1])
-            if last_pos + 1 < len(cells):
-                nxt = cells[last_pos + 1]
-                right_bound = rows.x[nxt] - nl.cell_w[nxt] / 2
-            else:
-                right_bound = rows.space.segments[row_i][seg_i].xh
-            # Each permutation packs the window from left0; the running
-            # sum rounds exactly like a cursor advanced cell by cell.
-            perm_w = widths[perms]
-            edges = np.cumsum(
-                np.column_stack((np.full(len(perms), left0), perm_w)), axis=1
-            )
-            fits = np.flatnonzero(edges[:, -1] <= right_bound + 1e-9)
-            if not len(fits):
-                continue
-            order = window[perms[fits]]
-            centers = edges[fits, :-1] + perm_w[fits] / 2
-            # Trial 0 is the window as placed; then the fitting permutations.
-            trials = len(fits) + 1
-            moved = np.vstack((np.full(self.window, -1), order))
-            mx = np.vstack((np.zeros(self.window), centers))
-            my = np.vstack((np.zeros(self.window), rows.y[order]))
-            scores = self._trial_hpwl(
-                np.tile(nets, trials), np.full(trials, len(nets)),
-                moved, mx, my, rows.x, rows.y,
-            )
-            best = int(np.argmin(scores[1:]))
-            if scores[1 + best] < scores[0] - 1e-9:
-                rows.x[order[best]] = centers[best]
-                # Restore sorted order inside the segment.
-                cells.sort(key=lambda c: rows.x[c])
-                applied += 1
+        segments = zip(
+            itertools.chain.from_iterable(rows.members),
+            itertools.chain.from_iterable(rows.space.segments),
+        )
+        for cells, segment in segments:
+            for start in range(len(cells) - size + 1):
+                window = cells[start : start + size]
+                # Fence guard: reordering across groups could leak a cell
+                # out of (or into) a fence.
+                group = fence[window[0]]
+                if any(fence[c] != group for c in window):
+                    continue
+                widths = [width[c] for c in window]
+                left0 = xs[window[0]] - widths[0] / 2
+                # Right bound: next neighbour or segment end.
+                if start + size < len(cells):
+                    nxt = cells[start + size]
+                    right_bound = xs[nxt] - width[nxt] / 2
+                else:
+                    right_bound = segment.xh
+                # Each permutation packs the window from left0, a cursor
+                # advanced cell by cell (``np.cumsum``'s rounding); trial 0
+                # is the window as placed.
+                trials = [[xs[c] for c in window]]
+                for perm in self._perms:
+                    edge = left0
+                    centers = [0.0] * size
+                    for j in perm:
+                        centers[j] = edge + widths[j] / 2
+                        edge += widths[j]
+                    if edge <= right_bound + 1e-9:
+                        trials.append(centers)
+                if len(trials) == 1:
+                    continue
+                scores = self._window_scores(window, trials, xs, y_bounds)
+                if not scores:
+                    continue
+                # The first best permutation, if it gains.
+                best = min(range(1, len(trials)), key=scores.__getitem__)
+                if scores[best] < scores[0] - 1e-9:
+                    for cell, cx in zip(window, trials[best]):
+                        xs[cell] = cx
+                        rows.x[cell] = cx
+                    # Restore sorted order inside the segment.
+                    cells.sort(key=xs.__getitem__)
+                    applied += 1
         return applied
 
     # ------------------------------------------------------------------

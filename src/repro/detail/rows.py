@@ -145,13 +145,6 @@ class PlacementRows:
         cells.insert(lo, cell)
 
     # ------------------------------------------------------------------
-    def iter_windows(self, size: int):
-        """Yield (row_i, seg_i, [cells]) windows of consecutive cells."""
-        for row_i, row_segs in enumerate(self.members):
-            for seg_i, cells in enumerate(row_segs):
-                for start in range(0, len(cells) - size + 1):
-                    yield row_i, seg_i, cells[start : start + size]
-
     def index(self) -> "RowIndex":
         """A snapshot of the rows for vectorized queries (see RowIndex)."""
         cells = self.netlist.movable_index

@@ -5,6 +5,11 @@ active profiler.  The counts model the CPU-side launch overhead that
 dominates small operators on GPU (Section 3.1.3): fewer launches ⇒ less
 fixed overhead per GP iteration.
 
+Work quantities that are not launches (``entries``, e.g. the cell–bin
+entries one density scatter adds) are recorded beside the counts and
+stay out of :attr:`KernelProfiler.total`, :meth:`~KernelProfiler.since`
+and :meth:`~KernelProfiler.summary`.
+
 Launch *counts* are always free to record.  Wall-clock *seconds* are
 opt-in (``KernelProfiler(timed=True)``): operators wrap their bodies in
 ``with timed("name"):`` spans, which are a shared ``nullcontext`` —
@@ -62,6 +67,7 @@ class KernelProfiler:
 
     def __init__(self, timed: bool = False) -> None:
         self.counts: Counter = Counter()
+        self.entries: Counter = Counter()
         self.seconds: Counter = Counter()
         self.timed = timed
         self._marks: Dict[str, int] = {}
@@ -69,6 +75,10 @@ class KernelProfiler:
     def launch(self, name: str, n: int = 1) -> None:
         """Record ``n`` kernel dispatches of operator ``name``."""
         self.counts[name] += n
+
+    def add_entries(self, name: str, n: int) -> None:
+        """Record ``n`` units of work of ``name`` (not launches)."""
+        self.entries[name] += n
 
     def span(self, name: str) -> ContextManager:
         """A timing context for ``name`` (free no-op unless ``timed``)."""
@@ -86,6 +96,7 @@ class KernelProfiler:
 
     def reset(self) -> None:
         self.counts.clear()
+        self.entries.clear()
         self.seconds.clear()
         self._marks.clear()
 
@@ -129,6 +140,9 @@ class _NullProfiler(KernelProfiler):
     """Free no-op profiler used when nothing is being measured."""
 
     def launch(self, name: str, n: int = 1) -> None:  # noqa: D102
+        pass
+
+    def add_entries(self, name: str, n: int) -> None:  # noqa: D102
         pass
 
     def span(self, name: str) -> ContextManager:  # noqa: D102

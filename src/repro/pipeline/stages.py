@@ -230,6 +230,8 @@ class DetailStage(Stage):
             "dp_hpwl": dp.hpwl_after,
             "dp_moves": dp.moves_applied,
             **{f"dp_moves_{op}": n for op, n in dp.moves_by_operator.items()},
+            **{f"dp_seconds_{op}": sec
+               for op, sec in dp.seconds_by_operator.items()},
         }
         if self.check:
             ctx.legality = check_legal(ctx.netlist, dp.x, dp.y)

@@ -169,13 +169,17 @@ class TestDetailedPlacer:
                 expected = float(per_net[nets[t]].sum())
                 assert got[t] == pytest.approx(expected, rel=1e-12, abs=0)
 
-    def test_nets_of_returns_sorted_unique(self, legal_placement):
+    def test_cell_net_lists_sorted_unique(self, legal_placement):
+        """Each cell's wide-net list holds exactly its nets of two or more
+        pins, ascending; each wide net's pin list is its (cell, dx)."""
         nl, __, __ = legal_placement
         dp = DetailedPlacer(nl)
-        cell = int(nl.movable_index[5])
-        nets = dp.nets_of([cell, cell])
-        assert len(nets) == len(set(nets.tolist()))
-        # Each returned net really contains the cell.
-        for e in nets:
+        for cell in range(nl.num_cells):
+            nets = dp._cell_wide_nets[cell]
+            on_cell = np.unique(nl.pin2net[nl.pin2cell == cell])
+            assert nets == on_cell[nl.net_mask[on_cell]].tolist()
+        for e in range(nl.num_nets):
             lo, hi = nl.net_start[e], nl.net_start[e + 1]
-            assert cell in nl.pin2cell[lo:hi]
+            want = list(zip(nl.pin2cell[lo:hi].tolist(),
+                            nl.pin_dx[lo:hi].tolist()))
+            assert dp._net_pins[e] == (want if nl.net_mask[e] else [])

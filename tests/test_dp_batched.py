@@ -77,12 +77,20 @@ def fence_ok(nl, cell, new_x, new_y) -> bool:
     )[0])
 
 
+def nets_of(dp: DetailedPlacer, cells) -> np.ndarray:
+    """The distinct nets of ``cells``, ascending."""
+    pieces = [dp._cell_net_slice(c) for c in cells]
+    if not pieces:
+        return np.empty(0, dtype=np.int64)
+    return np.unique(np.concatenate(pieces))
+
+
 def swap_deltas(dp: DetailedPlacer, a, trials, rows) -> np.ndarray:
     """HPWL gain of each candidate swap of ``a``, over the union of both
     cells' nets, one trial at a time."""
     deltas = []
     for b, ax_new, bx_new, ya_new, yb_new in trials:
-        nets = dp.nets_of([a, b])
+        nets = nets_of(dp, [a, b])
         scores = dp._trial_hpwl(
             np.tile(nets, 2), np.full(2, len(nets)),
             np.array([[-1, -1], [a, b]]),

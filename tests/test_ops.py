@@ -84,11 +84,35 @@ class TestProfiler:
             DensitySystem(nl, 0.9, extraction=False,
                           rng=np.random.default_rng(1)).evaluate(x, y)
         # The fused path scatters the movable cells twice (once inside the
-        # union pass, once for the overflow map): strictly more work.
+        # union pass, once for the overflow map): strictly more cell–bin
+        # entries.  Entries are work, not launches: the launch totals
+        # count each scatter once.
         assert (
-            extracted.counts["density_scatter_cells"]
-            < fused.counts["density_scatter_cells"]
+            extracted.entries["density_scatter_cells"]
+            < fused.entries["density_scatter_cells"]
         )
+        for profiler in (extracted, fused):
+            assert "density_scatter_cells" not in profiler.counts
+            assert profiler.total == sum(profiler.counts.values()) < 20
+
+    def test_entries_stay_out_of_launch_totals(self):
+        profiler = KernelProfiler()
+        profiler.launch("a", 2)
+        profiler.mark("m")
+        profiler.add_entries("a_cells", 5000)
+        profiler.add_entries("a_cells", 1)
+        assert profiler.entries["a_cells"] == 5001
+        assert profiler.total == 2
+        assert profiler.since("m") == 0
+        assert "a_cells" not in profiler.summary()
+        assert profiler.snapshot() == {"a": 2}
+        profiler.reset()
+        assert not profiler.entries
+        with use_profiler() as active:
+            get_profiler().add_entries("b_cells", 7)
+        assert active.entries["b_cells"] == 7 and active.total == 0
+        get_profiler().add_entries("b_cells", 7)  # the null profiler drops it
+        assert get_profiler().entries == {}
 
 
 class TestSkipController:

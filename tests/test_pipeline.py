@@ -199,6 +199,13 @@ class TestStandardFlowRegression:
                                for op in ("reorder", "swap", "ism")]
         assert sum(by_operator) == metrics["dp_moves"] == dp.moves_applied
 
+    def test_dp_seconds_by_operator(self, piped):
+        metrics = piped.report.stage("dp").metrics
+        seconds = [metrics[f"dp_seconds_{op}"] for op in ("reorder", "swap", "ism")]
+        assert all(sec > 0 for sec in seconds)
+        # The operators are timed inside the DP stage's own wall clock.
+        assert sum(seconds) <= piped.report.seconds("dp")
+
     def test_positions_unchanged(self, handrolled, piped):
         __, __, dp, __ = handrolled
         np.testing.assert_array_equal(piped.x, dp.x)
