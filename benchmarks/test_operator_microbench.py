@@ -2,7 +2,12 @@
 
 Times the fused vs split wirelength operator, the extracted vs fused
 density evaluation, and the autograd-vs-closed-form gradient — the
-per-operator view that Table 3 aggregates per iteration.
+per-operator view that Table 3 aggregates per iteration — and one
+detailed placement pass on the golden ``fft_1@1000`` legal input
+(``tests/data/dp_golden.npz``), plain and with same-width cells shuffled
+within their segments so that many moves apply.  Run from the repository
+root (``python -m pytest benchmarks/test_operator_microbench.py``): the
+DP rows take their input from ``tests``.
 """
 
 import numpy as np
@@ -11,13 +16,22 @@ import pytest
 from conftest import SCALE, TableCollector
 from repro.benchgen import make_design
 from repro.density import DensitySystem
+from repro.detail import DetailedPlacer
 from repro.ops import use_profiler
 from repro.wirelength import WirelengthOp
 from repro.wirelength.wa_autograd import AutogradWirelengthOp
+from tests.test_dp_golden import DESIGNS, GOLDEN
+from tests.test_dp_batched import shuffled
 
 _table = TableCollector(
     "Operator microbenchmarks (one evaluation each)",
     f"{'operator':<36} {'launches':>9} {'entries':>9}",
+)
+
+_dp_table = TableCollector(
+    "Detailed placement, one pass on golden fft_1@1000 (moves; ms per operator)",
+    f"{'input':<10} {'reorder':>8} {'swap':>6} {'ism':>5} "
+    f"{'reorder ms':>11} {'swap ms':>8} {'ism ms':>7}",
 )
 
 
@@ -84,3 +98,27 @@ def test_density_fused(benchmark, workload):
         system.evaluate(x, y)
     _table.add(f"{'density fused (OE off)':<36} {profiler.total:>9} "
                f"{profiler.entries['density_scatter_cells']:>9}")
+
+
+@pytest.fixture(scope="module")
+def dp_input():
+    with np.load(GOLDEN) as data:
+        return DESIGNS["fft1"](), data["fft1_x"], data["fft1_y"]
+
+
+@pytest.mark.parametrize("shuffle", [False, True], ids=["plain", "shuffled"])
+def test_detailed_placement_pass(benchmark, dp_input, shuffle):
+    netlist, x, y = dp_input
+    if shuffle:
+        x, y = shuffled(netlist, x, y, seed=3)
+    result = benchmark(
+        lambda: DetailedPlacer(netlist, max_passes=1).place(x, y)
+    )
+    moves = result.moves_by_operator
+    ms = {op: 1e3 * s for op, s in result.seconds_by_operator.items()}
+    _dp_table.add(
+        f"{'shuffled' if shuffle else 'plain':<10} {moves['reorder']:>8} "
+        f"{moves['swap']:>6} {moves['ism']:>5} {ms['reorder']:>11.1f} "
+        f"{ms['swap']:>8.1f} {ms['ism']:>7.1f}"
+    )
+    assert result.hpwl_after < result.hpwl_before

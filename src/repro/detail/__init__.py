@@ -12,12 +12,11 @@ engine) in simplified sequential form:
 
 :class:`DetailedPlacer` runs passes of these operators until HPWL stops
 improving; it both requires and preserves legality.  Moves are applied
-one at a time.  Local reordering scores each window in scalar Python
-against its nets' other-pin boxes; swap and ISM score all of a
-decision's candidates in one batched gather + segment reduction.  Both
-make the same decisions as scoring the candidates one by one; global
-swap plans a batch of cells against one snapshot and replays the
-decisions in order.
+one at a time, cell by cell.  Local reordering and global swap score in
+scalar Python against each net's box over the pins of other cells,
+folding in only the moved cells' own pins; ISM scores a batch's cost
+matrix in one batched gather + segment reduction.  All three make the
+same decisions as scoring the candidates one by one.
 """
 
 from repro.detail.rows import PlacementRows

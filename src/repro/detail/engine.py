@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import itertools
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from repro.detail.rows import PlacementRows, RowIndex, concat_ranges
+from repro.detail.rows import PlacementRows, concat_ranges
 from repro.netlist import Netlist
 from repro.wirelength import hpwl as hpwl_fn
 
@@ -39,11 +40,6 @@ class DetailedPlacementResult:
         return 1.0 - self.hpwl_after / self.hpwl_before
 
 
-#: Movable cells whose swaps are planned against one snapshot.  Any size
-#: gives the same decisions; swaps are rare, so a batch is seldom cut short.
-SWAP_BATCH = 32
-
-
 class DetailedPlacer:
     """Sequential ABCDPlace-style detailed placer.
 
@@ -52,24 +48,22 @@ class DetailedPlacer:
     ``max_passes`` is reached.  Requires a legal input placement and
     keeps it legal.
 
-    Moves are applied one at a time.  Local reordering scores each window
-    in scalar Python (:meth:`_window_scores`): the other pins' box of each
-    net is built once per window and every permutation only folds in the
-    window's own pins.  Global swap and ISM score all of a decision's
-    candidates at once: a swap batch's trials and an ISM batch's cost
-    matrix are each one :meth:`_trial_hpwl` call.  Every score is
-    bit-identical to evaluating the candidates one by one, so every
-    decision matches the sequential rule.
+    Moves are applied one at a time, and every decision is the
+    sequential rule's: each score is bit-identical to evaluating the
+    candidates one by one with :meth:`_trial_hpwl`.  Local reordering and
+    global swap score in scalar Python; ISM builds its cost matrix with
+    one :meth:`_trial_hpwl` call.
 
-    Global swap goes further and plans in snapshot batches.  It takes the
-    next ``SWAP_BATCH`` movable cells in order and computes, against one
-    snapshot of the placement, every cell's optimal point, candidate
-    band, spans, fence checks and swap scores (one scoring call for the
-    whole batch).  The decisions are then replayed in cell order: the
-    first cell whose best swap gains is swapped, everything planned after
-    it is discarded, and the next batch starts at the following cell.
-    Until that swap nothing moves, so each decision is the one the
-    per-cell rule would make.
+    * Local reordering (:meth:`_window_scores`) builds the other pins' box
+      of each net once per window; every permutation only folds in the
+      window's own pins.
+    * Global swap visits the movable cells in order.  Every cell's
+      other-pin box on each of its nets and every optimal point come from
+      one vectorized pass at the start (:meth:`_other_pin_boxes`); a
+      candidate is scored from the cached boxes of both cells, folding in
+      only the moved cell's own pins (a net of both is walked pin by
+      pin).  After a swap only the two touched segments' spans, the
+      swapped cells' nets and the cells on them are refreshed.
     """
 
     def __init__(
@@ -97,27 +91,48 @@ class DetailedPlacer:
 
     def _build_adjacency(self) -> None:
         nl = self.netlist
-        # cell -> distinct nets CSR, each cell's nets ascending.
-        pairs = np.unique(
-            nl.pin2cell.astype(np.int64) * np.int64(nl.num_nets) + nl.pin2net
-        )
+        # cell -> distinct nets CSR, each cell's nets ascending: the pins
+        # sorted by (cell, net), one pair per run.
+        key = nl.pin2cell.astype(np.int64) * np.int64(nl.num_nets) + nl.pin2net
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        pairs = key[starts]
         cells = (pairs // nl.num_nets).astype(np.int64)
         nets = (pairs % nl.num_nets).astype(np.int64)
         counts = np.bincount(cells, minlength=nl.num_cells)
         self._cell_net_start = np.concatenate(([0], np.cumsum(counts)))
         self._cell_nets = nets
-        # Scalar views for local reordering: each cell's wide nets (two
-        # or more pins) ascending, each wide net's (cell, dx) pins.
+        self._pair_cell = cells
+        # Each wide pair (two or more pins on the net) in this order, with
+        # the cell's lowest and highest own pin dx and dy: rounding is
+        # monotone, so the cell's pins on the net reach from exactly
+        # ``x + lowest dx`` to ``x + highest dx``.
         wide = nl.net_mask[nets]
+        self._wide_pairs = wide
+        self._wide_start = np.concatenate(
+            ([0], np.cumsum(np.bincount(cells[wide], minlength=nl.num_cells)))
+        ).tolist()
+        self._own_offsets = np.column_stack([
+            pick.reduceat(offset[order], starts)[wide]
+            for offset in (nl.pin_dx, nl.pin_dy)
+            for pick in (np.minimum, np.maximum)
+        ])
+        # Scalar views for local reordering and global swap: each cell's
+        # wide nets (two or more pins) ascending, each wide net's
+        # (cell, dx, dy) pins, each net's weight.
         self._cell_wide_nets: List[List[int]] = [[] for _ in range(nl.num_cells)]
         for cell, net in zip(cells[wide].tolist(), nets[wide].tolist()):
             self._cell_wide_nets[cell].append(net)
-        pins = list(zip(nl.pin2cell.tolist(), nl.pin_dx.tolist()))
+        pins = list(
+            zip(nl.pin2cell.tolist(), nl.pin_dx.tolist(), nl.pin_dy.tolist())
+        )
         bounds = nl.net_start.tolist()
         self._net_pins = [
             pins[lo:hi] if keep else []
             for keep, lo, hi in zip(nl.net_mask.tolist(), bounds, bounds[1:])
         ]
+        self._net_weight: List[float] = nl.net_weight.tolist()
 
     # ------------------------------------------------------------------
     def _cell_net_slice(self, cell: int) -> np.ndarray:
@@ -217,9 +232,11 @@ class DetailedPlacer:
     # ------------------------------------------------------------------
     # Operator 1: local reordering
     # ------------------------------------------------------------------
-    def _net_y_bounds(self, y: np.ndarray) -> Tuple[List[float], List[float]]:
-        """Each wide net's lowest and highest pin y (inf/-inf for the
-        rest); local reordering never moves a cell off its row."""
+    def _net_bounds(
+        self, pos: np.ndarray, offset: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Each wide net's lowest and highest pin coordinate along one
+        axis (``inf``/``-inf`` for the other nets)."""
         nl = self.netlist
         lo = np.full(nl.num_nets, np.inf)
         hi = np.full(nl.num_nets, -np.inf)
@@ -227,10 +244,16 @@ class DetailedPlacer:
         if len(wide):
             degree = nl.net_degree[wide]
             pins = concat_ranges(nl.net_start[wide], degree)
-            py = y[nl.pin2cell[pins]] + nl.pin_dy[pins]
+            p = pos[nl.pin2cell[pins]] + offset[pins]
             starts = np.cumsum(degree) - degree
-            lo[wide] = np.minimum.reduceat(py, starts)
-            hi[wide] = np.maximum.reduceat(py, starts)
+            lo[wide] = np.minimum.reduceat(p, starts)
+            hi[wide] = np.maximum.reduceat(p, starts)
+        return lo, hi
+
+    def _net_y_bounds(self, y: np.ndarray) -> Tuple[List[float], List[float]]:
+        """Each wide net's lowest and highest pin y; local reordering
+        never moves a cell off its row."""
+        lo, hi = self._net_bounds(y, self.netlist.pin_dy)
         return lo.tolist(), hi.tolist()
 
     def _window_scores(
@@ -259,7 +282,7 @@ class DetailedPlacer:
         for net in nets:
             lo_x, hi_x = np.inf, -np.inf
             own = []
-            for cell, dx in net_pins[net]:
+            for cell, dx, __ in net_pins[net]:
                 if cell in slot:
                     own.append((slot[cell], dx))
                     continue
@@ -351,174 +374,256 @@ class DetailedPlacer:
     # ------------------------------------------------------------------
     # Operator 2: global swap
     # ------------------------------------------------------------------
+    def _other_pin_boxes(
+        self, x: np.ndarray, y: np.ndarray
+    ) -> Tuple[np.ndarray, ...]:
+        """``(lo_x, hi_x, lo_y, hi_y)`` for every (cell, net) pair, in
+        ``_cell_nets`` order: the net's box over the pins of other cells
+        (``inf``/``-inf`` if it has none).
+
+        Each side of a net's box is held by one cell (the first pin
+        reaching it); for every other cell on the net the side is the
+        same, and for the holder it is the extreme over the pins of all
+        other cells.
+        """
+        nl = self.netlist
+        nets = np.flatnonzero(nl.net_degree)
+        starts = nl.net_start[nets]
+        net_of_pin = np.repeat(nets, nl.net_degree[nets])
+        cell, net = self._pair_cell, self._cell_nets
+        boxes = []
+        for pos, offset in ((x, nl.pin_dx), (y, nl.pin_dy)):
+            p = pos[nl.pin2cell] + offset
+            for pick, empty in ((np.minimum, np.inf), (np.maximum, -np.inf)):
+                side = np.full(nl.num_nets, empty)
+                side[nets] = pick.reduceat(p, starts)
+                hit = np.flatnonzero(p == side[net_of_pin])
+                first = hit[np.diff(net_of_pin[hit], prepend=-1) != 0]
+                holder = np.full(nl.num_nets, -1)
+                holder[nets] = nl.pin2cell[first]
+                rest = np.where(nl.pin2cell == holder[net_of_pin], empty, p)
+                other = np.full(nl.num_nets, empty)
+                other[nets] = pick.reduceat(rest, starts)
+                boxes.append(np.where(cell == holder[net], other[net], side[net]))
+        return tuple(boxes)
+
     def _optimal_points(
         self, cells: np.ndarray, x: np.ndarray, y: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Each cell's optimal point: the median of the other-pin bounding
         boxes of its nets, or its own position if no net has another pin."""
-        nl = self.netlist
-        opt_x, opt_y = x[cells], y[cells]
         starts = self._cell_net_start[cells]
         counts = self._cell_net_start[cells + 1] - starts
-        nets = self._cell_nets[concat_ranges(starts, counts)]
-        # One entry per (cell, net); keep the pins of other cells.
+        pairs = concat_ranges(starts, counts)
         owner = np.repeat(np.arange(len(cells)), counts)
-        degree = nl.net_degree[nets]
-        pins = concat_ranges(nl.net_start[nets], degree)
-        entry = np.repeat(np.arange(len(nets)), degree)
-        other = nl.pin2cell[pins] != cells[owner[entry]]
-        pins, entry = pins[other], entry[other]
-        if not len(pins):
-            return opt_x, opt_y
-        # Entries with no other pin drop out; the rest stay grouped by cell.
-        starts = np.flatnonzero(np.r_[True, entry[1:] != entry[:-1]])
-        who = owner[entry[starts]]
-        kept = np.bincount(who, minlength=len(cells))
-        who = np.tile(who, 2)
-        has = kept > 0
-        # The median of each cell's net bounds (``np.median``'s rounding:
-        # mean of the middle pair).
-        mid = (np.cumsum(2 * kept) - kept)[has]
-        for pos, offset, out in ((x, nl.pin_dx, opt_x), (y, nl.pin_dy, opt_y)):
-            p = pos[nl.pin2cell[pins]] + offset[pins]
-            bounds = np.concatenate(
-                (np.minimum.reduceat(p, starts), np.maximum.reduceat(p, starts))
-            )
-            bounds = bounds[np.lexsort((bounds, who))]
-            out[has] = (bounds[mid - 1] + bounds[mid]) / 2
-        return opt_x, opt_y
+        boxes = self._other_pin_boxes(x, y)
+        return _box_medians(
+            x[cells], y[cells], owner, *(side[pairs] for side in boxes)
+        )
+
+    @staticmethod
+    def _optimal_point(cell: int, boxes: "_NetBoxes") -> Tuple[float, float]:
+        """One cell's optimal point from its cached other-pin boxes, equal
+        to :meth:`_optimal_points`' bit for bit."""
+        bounds_x: List[float] = []
+        bounds_y: List[float] = []
+        for __, (lo_x, hi_x, lo_y, hi_y, *__) in boxes.of(cell):
+            if lo_x <= hi_x:
+                bounds_x += (lo_x, hi_x)
+                bounds_y += (lo_y, hi_y)
+        if not bounds_x:
+            return boxes.xs[cell], boxes.ys[cell]
+        bounds_x.sort()
+        bounds_y.sort()
+        k = len(bounds_x) // 2
+        return (
+            (bounds_x[k - 1] + bounds_x[k]) / 2,
+            (bounds_y[k - 1] + bounds_y[k]) / 2,
+        )
 
     def _global_swap_pass(self, rows: PlacementRows) -> int:
-        """Swap each movable cell, in order, with the best partner near its
-        optimal point, planned in snapshot batches (see the class doc)."""
+        """Swap each movable cell, in order, with its best partner near its
+        optimal point (see the class doc)."""
         nl = self.netlist
         movable = nl.movable_index
         radius_x = 4 * float(np.mean(nl.cell_w[movable])) * self.swap_candidates
-        index = rows.index()
+        width = nl.cell_w.tolist()
+        height = nl.cell_h.tolist()
+        fence = nl.cell_fence.tolist()
+        row_y = rows.row_y.tolist()
+        left, right = (side.tolist() for side in rows.spans())
+        # Every cell's other-pin boxes, for the optimal points and the
+        # scores alike.
+        pair_boxes = self._other_pin_boxes(rows.x, rows.y)
+        opt_x, opt_y = _box_medians(rows.x, rows.y, self._pair_cell, *pair_boxes)
+        boxes = _NetBoxes(self, rows.x, rows.y, pair_boxes)
+        del pair_boxes
+        # Moves are written to ``boxes.xs``/``ys`` and to ``rows``.
+        xs, ys = boxes.xs, boxes.ys
         applied = 0
-        start = 0
-        while start < len(movable):
-            chunk = movable[start : start + SWAP_BATCH]
-            swap = self._first_swap(chunk, index, radius_x)
-            if swap is None:
-                start += len(chunk)
+        for a, ox, oy in zip(
+            movable.tolist(), opt_x[movable].tolist(), opt_y[movable].tolist()
+        ):
+            if a in boxes.moved:
+                ox, oy = self._optimal_point(a, boxes)
+            if abs(ox - xs[a]) + abs(oy - ys[a]) < 1e-9:
                 continue
-            i, b, ax_new, bx_new = swap
-            a = int(chunk[i])
-            slot_a, slot_b = rows.cell_slot[a], rows.cell_slot[b]
+            slot_a = rows.cell_slot[a]
+            la, ra = left[a], right[a]
+            wa, ha = width[a], height[a]
+            group = fence[a]
+            best, best_delta = None, -1e-9
+            for b in self._swap_candidates(a, ox, oy, rows, xs, fence, radius_x):
+                lb, rb = left[b], right[b]
+                wb, hb = width[b], height[b]
+                if rb - lb < wa - 1e-9 or ra - la < wb - 1e-9:
+                    continue
+                ax_new = min(max(xs[b], lb + wa / 2), rb - wa / 2)
+                bx_new = min(max(xs[a], la + wb / 2), ra - wb / 2)
+                slot_b = rows.cell_slot[b]
+                ya_new = row_y[slot_b[0]] + hb / 2 - hb / 2 + ha / 2
+                yb_new = ys[a] - ha / 2 + hb / 2
+                if group >= 0:
+                    region = nl.fences[group]
+                    if not (
+                        region.contains_cell(ax_new, ya_new, wa / 2, ha / 2)
+                        and region.contains_cell(bx_new, yb_new, wb / 2, hb / 2)
+                    ):
+                        continue
+                # Same segment: the exchanged intervals must stay disjoint.
+                if slot_a == slot_b:
+                    lx, lw, rx, rw = (
+                        (ax_new, wa, bx_new, wb) if ax_new <= bx_new
+                        else (bx_new, wb, ax_new, wa)
+                    )
+                    if lx + lw / 2 > rx - rw / 2 + 1e-9:
+                        continue
+                delta = self._swap_delta(
+                    a, b, ax_new, ya_new, bx_new, yb_new, boxes
+                )
+                if delta > best_delta:
+                    best, best_delta = (b, ax_new, bx_new, slot_b), delta
+            if best is None:
+                continue
+            b, ax_new, bx_new, slot_b = best
             rows.move(a, ax_new, *slot_b)
             rows.move(b, bx_new, *slot_a)
+            for cell in (a, b):
+                xs[cell] = float(rows.x[cell])
+                ys[cell] = float(rows.y[cell])
+            for slot in {slot_a, slot_b}:
+                _respan(rows, slot, xs, width, left, right)
+            boxes.forget((a, b))
             applied += 1
-            start += i + 1
-            index = rows.index()
         return applied
 
-    def _first_swap(
-        self, chunk: np.ndarray, index: RowIndex, radius_x: float
-    ) -> Optional[Tuple[int, int, float, float]]:
-        """Plan every swap of ``chunk`` against one snapshot and return the
-        first cell's (its chunk position, partner, new x of both) whose
-        best swap gains HPWL, or None if no cell's does."""
-        nl = self.netlist
-        rows = index.rows
-        x, y = rows.x, rows.y
-        opt_x, opt_y = self._optimal_points(chunk, x, y)
-        moving = np.flatnonzero(
-            np.abs(opt_x - x[chunk]) + np.abs(opt_y - y[chunk]) >= 1e-9
-        )
-        query, b = index.cells_near(
-            opt_x[moving], opt_y[moving], self.swap_radius_rows, radius_x
-        )
-        a = chunk[moving][query]
-        keep = (b != a) & (nl.cell_fence[b] == nl.cell_fence[a])
-        query, a, b = query[keep], a[keep], b[keep]
-        # Each cell's candidates: the first swap_candidates of its band.
-        rank = np.arange(len(query)) - np.searchsorted(query, query)
-        keep = rank < self.swap_candidates
-        query, a, b = query[keep], a[keep], b[keep]
-        la, ra = index.left[a], index.right[a]
-        lb, rb = index.left[b], index.right[b]
-        wa, wb = nl.cell_w[a], nl.cell_w[b]
-        ha, hb = nl.cell_h[a], nl.cell_h[b]
-        ax_new = np.minimum(np.maximum(x[b], lb + wa / 2), rb - wa / 2)
-        bx_new = np.minimum(np.maximum(x[a], la + wb / 2), ra - wb / 2)
-        ya_new = rows.row_y[rows.row_of[b]] + hb / 2 - hb / 2 + ha / 2
-        yb_new = y[a] - ha / 2 + hb / 2
-        ok = (rb - lb >= wa - 1e-9) & (ra - la >= wb - 1e-9)
-        fence = nl.cell_fence[a]
-        for g in np.unique(fence[fence >= 0]).tolist():
-            box, sel = nl.fences[g], fence == g
-            ok[sel] &= box.contains_box(
-                ax_new[sel], ya_new[sel], wa[sel] / 2, ha[sel] / 2
-            ) & box.contains_box(
-                bx_new[sel], yb_new[sel], wb[sel] / 2, hb[sel] / 2
-            )
-        # Same segment: the exchanged intervals must stay disjoint.
-        a_left = ax_new <= bx_new
-        lx = np.where(a_left, ax_new, bx_new)
-        rx = np.where(a_left, bx_new, ax_new)
-        lw, rw = np.where(a_left, wa, wb), np.where(a_left, wb, wa)
-        same = (rows.row_of[a] == rows.row_of[b]) & (
-            rows.seg_of[a] == rows.seg_of[b]
-        )
-        ok &= ~same | (lx + lw / 2 <= rx - rw / 2 + 1e-9)
-        if not ok.any():
-            return None
-        query, a, b = query[ok], a[ok], b[ok]
-        ax_new, bx_new = ax_new[ok], bx_new[ok]
-        deltas = self._swap_deltas(
-            a, b, ax_new, bx_new, ya_new[ok], yb_new[ok], x, y
-        )
-        # Each cell's best: the first of its largest deltas, if it gains.
-        firsts = np.flatnonzero(np.r_[True, query[1:] != query[:-1]])
-        gains = np.flatnonzero(np.maximum.reduceat(deltas, firsts) > -1e-9)
-        if not len(gains):
-            return None
-        lo = firsts[gains[0]]
-        hi = firsts[gains[0] + 1] if gains[0] + 1 < len(firsts) else len(deltas)
-        t = lo + int(np.argmax(deltas[lo:hi]))
-        return int(moving[query[t]]), int(b[t]), ax_new[t], bx_new[t]
-
-    def _swap_deltas(
+    def _swap_candidates(
         self,
-        a: np.ndarray,
-        b: np.ndarray,
-        ax_new: np.ndarray,
-        bx_new: np.ndarray,
-        ya_new: np.ndarray,
-        yb_new: np.ndarray,
-        x: np.ndarray,
-        y: np.ndarray,
-    ) -> np.ndarray:
-        """HPWL gain of each swap of ``a[t]`` with ``b[t]`` over the union
-        of both cells' nets: one scoring call for all bases and swaps."""
-        nl = self.netlist
-        count = len(a)
-        # Per-trial sorted union of a's and b's nets: unique (trial, net) keys.
-        trial = np.arange(count)
-        keys = []
-        for cells in (a, b):
-            starts = self._cell_net_start[cells]
-            lengths = self._cell_net_start[cells + 1] - starts
-            keys.append(
-                np.repeat(trial, lengths) * nl.num_nets
-                + self._cell_nets[concat_ranges(starts, lengths)]
-            )
-        keys = np.unique(np.concatenate(keys))
-        nets = keys % nl.num_nets
-        counts = np.bincount(keys // nl.num_nets, minlength=count)
-        # Trials 0..count-1 are the unmoved bases, then the swaps.
-        moved = np.full((2 * count, 2), -1, dtype=np.int64)
-        moved[count:, 0] = a
-        moved[count:, 1] = b
-        mx = np.zeros((2 * count, 2))
-        my = np.zeros((2 * count, 2))
-        mx[count:, 0], mx[count:, 1] = ax_new, bx_new
-        my[count:, 0], my[count:, 1] = ya_new, yb_new
-        scores = self._trial_hpwl(
-            np.tile(nets, 2), np.tile(counts, 2), moved, mx, my, x, y
+        a: int,
+        ox: float,
+        oy: float,
+        rows: PlacementRows,
+        xs: List[float],
+        fence: List[int],
+        radius_x: float,
+    ) -> List[int]:
+        """The first ``swap_candidates`` movable cells of ``a``'s fence
+        group, ``a`` excluded, in the rows within ``swap_radius_rows`` of
+        the row nearest ``(ox, oy)`` whose centre lies within ``radius_x``
+        of ``ox``, in (row, segment, x) order (the live segment lists; two
+        cells of a legal segment share an x only if one has zero width)."""
+        count = self.swap_candidates
+        if count <= 0:
+            return []
+        # The nearest row, first on a tie like ``np.argmin``; rows are
+        # indexed bottom to top, so the centres ascend.
+        centers = rows.row_centers
+        row = min(bisect_left(centers, oy), len(centers) - 1)
+        while row and abs(centers[row - 1] - oy) <= abs(centers[row] - oy):
+            row -= 1
+        radius = self.swap_radius_rows
+        band = rows.members[max(0, row - radius) : row + radius + 1]
+        key = xs.__getitem__
+        group = fence[a]
+        out: List[int] = []
+        for cells in itertools.chain.from_iterable(band):
+            # ``|x - ox| <= radius_x`` holds on one run of a sorted list;
+            # bisect near its ends, then settle them by the exact test.
+            lo = bisect_left(cells, ox - radius_x, key=key)
+            while lo and abs(xs[cells[lo - 1]] - ox) <= radius_x:
+                lo -= 1
+            hi = bisect_right(cells, ox + radius_x, lo, key=key)
+            while hi < len(cells) and abs(xs[cells[hi]] - ox) <= radius_x:
+                hi += 1
+            for b in cells[lo:hi]:
+                if b != a and fence[b] == group and abs(xs[b] - ox) <= radius_x:
+                    out.append(b)
+                    if len(out) == count:
+                        return out
+        return out
+
+    def _swap_delta(
+        self,
+        a: int,
+        b: int,
+        ax: float,
+        ay: float,
+        bx: float,
+        by: float,
+        boxes: "_NetBoxes",
+    ) -> float:
+        """HPWL gain of moving ``a`` to ``(ax, ay)`` and ``b`` to
+        ``(bx, by)``, over the union of both cells' wide nets.
+
+        A net of one cell folds that cell's pins into its cached
+        other-pin box; a net of both is walked pin by pin.  Min and max are
+        exact, each span is formed in :meth:`_trial_hpwl`'s order and each
+        side is reduced by the same ``np.dot`` in ascending net order, so
+        the gain equals the difference of its scores bit for bit.
+        """
+        xs, ys = boxes.xs, boxes.ys
+        weight, span = self._net_weight, boxes.spans
+        shared = set(self._cell_wide_nets[a]).intersection(
+            self._cell_wide_nets[b]
         )
-        return scores[:count] - scores[count:]
+        spans = []
+        for net in shared:
+            pins = self._net_pins[net]
+            px = [
+                (ax if c == a else bx if c == b else xs[c]) + dx
+                for c, dx, __ in pins
+            ]
+            py = [
+                (ay if c == a else by if c == b else ys[c]) + dy
+                for c, __, dy in pins
+            ]
+            after = max(px) - min(px) + max(py) - min(py)
+            spans.append((net, weight[net], span[net], after))
+        for cell, cx, cy in ((a, ax, ay), (b, bx, by)):
+            for net, box in boxes.of(cell):
+                if net in shared:
+                    continue
+                lo_x, hi_x, lo_y, hi_y, dx_lo, dx_hi, dy_lo, dy_hi = box
+                # Fold in the cell's own pins (see ``_own_offsets``).
+                px, py = cx + dx_lo, cy + dy_lo
+                if px < lo_x:
+                    lo_x = px
+                if py < lo_y:
+                    lo_y = py
+                px, py = cx + dx_hi, cy + dy_hi
+                if px > hi_x:
+                    hi_x = px
+                if py > hi_y:
+                    hi_y = py
+                spans.append((net, weight[net], span[net], hi_x - lo_x + hi_y - lo_y))
+        if not spans:
+            return 0.0
+        spans.sort()
+        __, weights, before, after = zip(*spans)
+        weights = np.array(weights)
+        count = len(spans)
+        both = np.array(before + after)
+        return np.dot(both[:count], weights) - np.dot(both[count:], weights)
 
     # ------------------------------------------------------------------
     # Operator 3: independent-set matching
@@ -589,3 +694,117 @@ class DetailedPlacer:
             rows.set_slot(cell, slot)
             rows._sorted_insert(slot, cell)
         return 1
+
+
+class _NetBoxes:
+    """Global swap's per-pass view of the placement and its cache.
+
+    ``xs``/``ys`` are list copies of the positions; the pass writes its
+    moves to them.  ``spans`` holds each wide net's span as placed, and
+    ``table`` one row per wide (cell, net) pair, cell by cell and each
+    cell's nets ascending: ``lo_x, hi_x, lo_y, hi_y``, the net's box over
+    the pins of other cells (empty as ``inf``/``-inf``), then ``dx_lo,
+    dx_hi, dy_lo, dy_hi``, the extremes of the cell's own pin offsets on
+    it.  :meth:`forget` brings both up to date after a swap.
+    """
+
+    def __init__(
+        self,
+        placer: DetailedPlacer,
+        x: np.ndarray,
+        y: np.ndarray,
+        pair_boxes: Tuple[np.ndarray, ...],
+    ) -> None:
+        self.cell_nets = placer._cell_wide_nets
+        self.net_pins = placer._net_pins
+        self.xs = x.tolist()
+        self.ys = y.tolist()
+        nl = placer.netlist
+        lo_x, hi_x = placer._net_bounds(x, nl.pin_dx)
+        lo_y, hi_y = placer._net_bounds(y, nl.pin_dy)
+        self.spans = (hi_x - lo_x + hi_y - lo_y).tolist()
+        wide = placer._wide_pairs
+        self.table = np.empty((len(placer._own_offsets), 8))
+        for column, side in enumerate(pair_boxes):
+            self.table[:, column] = side[wide]
+        self.table[:, 4:] = placer._own_offsets
+        self._start = placer._wide_start
+        #: Cells that moved or share a net with one that did.
+        self.moved: set = set()
+
+    def of(self, cell: int):
+        """``(net, row)`` for each wide net of ``cell``, ascending."""
+        lo, hi = self._start[cell], self._start[cell + 1]
+        return zip(self.cell_nets[cell], self.table[lo:hi].tolist())
+
+    def forget(self, cells: Sequence[int]) -> None:
+        """``cells`` moved: re-span their nets, rebuild the boxes of the
+        cells on them pin by pin and mark those cells as moved."""
+        xs, ys = self.xs, self.ys
+        self.moved.update(cells)
+        for net in set().union(*(self.cell_nets[c] for c in cells)):
+            pins = self.net_pins[net]
+            px = [xs[c] + dx for c, dx, __ in pins]
+            py = [ys[c] + dy for c, __, dy in pins]
+            self.spans[net] = max(px) - min(px) + max(py) - min(py)
+            for cell in {c for c, __, __ in pins}:
+                self.moved.add(cell)
+                k = self._start[cell] + self.cell_nets[cell].index(net)
+                self.table[k, :4] = self._box(cell, net)
+
+    def _box(self, cell: int, net: int) -> Tuple[float, float, float, float]:
+        """The net's box over the pins of other cells, as placed now."""
+        others = [pin for pin in self.net_pins[net] if pin[0] != cell]
+        if not others:
+            return np.inf, -np.inf, np.inf, -np.inf
+        px = [self.xs[c] + dx for c, dx, __ in others]
+        py = [self.ys[c] + dy for c, __, dy in others]
+        return min(px), max(px), min(py), max(py)
+
+
+def _box_medians(
+    x: np.ndarray,
+    y: np.ndarray,
+    owner: np.ndarray,
+    lo_x: np.ndarray,
+    hi_x: np.ndarray,
+    lo_y: np.ndarray,
+    hi_y: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Each owner's median of its non-empty boxes' bounds (``np.median``'s
+    rounding: mean of the middle pair), or its ``(x, y)`` if it has none."""
+    x, y = x.copy(), y.copy()
+    full = lo_x <= hi_x
+    who = owner[full]
+    kept = np.bincount(who, minlength=len(x))
+    has = kept > 0
+    mid = (np.cumsum(2 * kept) - kept)[has]
+    who = np.tile(who, 2)
+    for lo, hi, out in ((lo_x, hi_x, x), (lo_y, hi_y, y)):
+        bounds = np.concatenate((lo[full], hi[full]))
+        bounds = bounds[np.lexsort((bounds, who))]
+        out[has] = (bounds[mid - 1] + bounds[mid]) / 2
+    return x, y
+
+
+def _respan(
+    rows: PlacementRows,
+    slot: Tuple[int, int],
+    xs: List[float],
+    width: List[float],
+    left: List[float],
+    right: List[float],
+) -> None:
+    """Recompute the free span of every cell of one segment, as
+    :meth:`PlacementRows.spans` does."""
+    row_i, seg_i = slot
+    segment = rows.space.segments[row_i][seg_i]
+    cells = rows.members[row_i][seg_i]
+    edge = segment.xl
+    for cell, nxt in zip(cells, cells[1:]):
+        left[cell] = edge
+        right[cell] = xs[nxt] - width[nxt] / 2
+        edge = xs[cell] + width[cell] / 2
+    if cells:
+        left[cells[-1]] = edge
+        right[cells[-1]] = segment.xh

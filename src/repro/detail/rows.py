@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -16,8 +15,8 @@ class PlacementRows:
     """Cells organised by (row, segment), kept sorted by x.
 
     Provides the slot geometry the DP operators need: for any placed cell,
-    the free span between its neighbours; for any coordinate, the nearby
-    cells.  Mutations keep the structure consistent.
+    the free span between its neighbours, and the row centres to find
+    the rows near a coordinate.  Mutations keep the structure consistent.
     """
 
     def __init__(self, netlist: Netlist, x: np.ndarray, y: np.ndarray) -> None:
@@ -25,9 +24,10 @@ class PlacementRows:
         self.space: RowSpace = self._build_space(netlist)
         self.x = x.copy()
         self.y = y.copy()
-        self._row_centers = np.array(
-            [self.space.row_center_y(r) for r in range(self.space.num_rows)]
-        )
+        # Row centres, ascending: rows are indexed bottom to top.
+        self.row_centers = [
+            self.space.row_center_y(r) for r in range(self.space.num_rows)
+        ]
         self.row_y = np.array([row.y for row in self.space.rows])
         # Segment ends, flattened row-major like ``members``.
         segments = [seg for segs in self.space.segments for seg in segs]
@@ -143,56 +143,6 @@ class PlacementRows:
             else:
                 hi = mid
         cells.insert(lo, cell)
-
-    # ------------------------------------------------------------------
-    def index(self) -> "RowIndex":
-        """A snapshot of the rows for vectorized queries (see RowIndex)."""
-        cells = self.netlist.movable_index
-        cells = cells[
-            np.lexsort((self.x[cells], self.seg_of[cells], self.row_of[cells]))
-        ]
-        bounds = np.searchsorted(
-            self.row_of[cells], np.arange(self.space.num_rows + 1)
-        )
-        left, right = self.spans()
-        return RowIndex(self, cells, bounds, left, right)
-
-
-@dataclass
-class RowIndex:
-    """Vectorized queries over one snapshot of :class:`PlacementRows`.
-
-    Valid until the next move: it holds the movable cells ordered by row,
-    then segment, then x (ties in movable-index order), each row's range
-    in that order, and every cell's free span (:meth:`PlacementRows.spans`).
-    """
-
-    rows: PlacementRows
-    cells: np.ndarray
-    row_bounds: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-
-    def cells_near(
-        self, x: np.ndarray, y: np.ndarray, radius_rows: int, radius_x: float
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Movable cells within a row/x window around each query point.
-
-        Returns ``(query, cells)``: for query ``q`` at ``(x[q], y[q])``, the
-        cells of the rows within ``radius_rows`` of the row nearest
-        ``y[q]`` whose centre lies within ``radius_x`` of ``x[q]``, in the
-        snapshot's (row, segment, x) order.  Queries come out in order,
-        each one's cells contiguous.
-        """
-        rows = self.rows
-        num_rows = rows.space.num_rows
-        row_i = np.argmin(np.abs(rows._row_centers - y[:, None]), axis=1)
-        lo = self.row_bounds[np.maximum(0, row_i - radius_rows)]
-        hi = self.row_bounds[np.minimum(num_rows, row_i + radius_rows + 1)]
-        query = np.repeat(np.arange(len(x)), hi - lo)
-        near = self.cells[concat_ranges(lo, hi - lo)]
-        keep = np.abs(rows.x[near] - x[query]) <= radius_x
-        return query[keep], near[keep]
 
 
 def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

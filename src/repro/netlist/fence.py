@@ -67,6 +67,18 @@ class FenceRegion:
             )
         return inside
 
+    def contains_cell(
+        self, x: float, y: float, hw: float, hh: float, tol: float = 1e-6
+    ) -> bool:
+        """:meth:`contains_box` for one cell, in scalar arithmetic."""
+        return any(
+            x - hw >= xl - tol
+            and x + hw <= xh + tol
+            and y - hh >= yl - tol
+            and y + hh <= yh + tol
+            for (xl, yl, xh, yh) in self.boxes
+        )
+
     def clamp_into(
         self, x: np.ndarray, y: np.ndarray, hw: np.ndarray, hh: np.ndarray
     ):

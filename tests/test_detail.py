@@ -171,7 +171,7 @@ class TestDetailedPlacer:
 
     def test_cell_net_lists_sorted_unique(self, legal_placement):
         """Each cell's wide-net list holds exactly its nets of two or more
-        pins, ascending; each wide net's pin list is its (cell, dx)."""
+        pins, ascending; each wide net's pin list is its (cell, dx, dy)."""
         nl, __, __ = legal_placement
         dp = DetailedPlacer(nl)
         for cell in range(nl.num_cells):
@@ -181,5 +181,6 @@ class TestDetailedPlacer:
         for e in range(nl.num_nets):
             lo, hi = nl.net_start[e], nl.net_start[e + 1]
             want = list(zip(nl.pin2cell[lo:hi].tolist(),
-                            nl.pin_dx[lo:hi].tolist()))
+                            nl.pin_dx[lo:hi].tolist(),
+                            nl.pin_dy[lo:hi].tolist()))
             assert dp._net_pins[e] == (want if nl.net_mask[e] else [])

@@ -1,12 +1,16 @@
-"""The batched global swap against the one-cell-at-a-time rule.
+"""The scalar global swap against the one-cell-at-a-time reference.
 
-``DetailedPlacer._global_swap_pass`` plans a chunk of cells against one
-snapshot of the placement and replays the decisions in cell order,
-discarding everything after an applied swap.  The golden fixture
+``DetailedPlacer._global_swap_pass`` visits the movable cells in order
+and scores each candidate swap from cached other-pin boxes: every box and
+optimal point is computed once per pass and refreshed only for the cells
+that share a net with a swapped pair.  :func:`sequential_swap_pass` is
+the rule written out directly (every cell's optimal point, band,
+candidates and scores against the placement as it stands, scored with
+``_trial_hpwl``), kept here as the reference.  The golden fixture
 (``test_dp_golden.py``) exercises only a handful of swaps, so these tests
-shuffle the golden legal inputs until many swaps apply and compare the
-batched pass with :func:`sequential_swap_pass`, the per-cell pass it
-replaced, kept here as the reference.
+also shuffle the golden legal inputs until many swaps apply, run a job
+shaped like the ``serve-small`` benchmark's, and build a netlist that
+hits the refresh's edge cases.
 """
 
 from typing import Tuple
@@ -14,10 +18,13 @@ from typing import Tuple
 import numpy as np
 import pytest
 
+from repro.core import XPlacer
 from repro.detail import DetailedPlacer, PlacementRows
-from repro.legalize import check_legal
-from repro.netlist import PlacementRegion
+from repro.detail.engine import _NetBoxes
+from repro.legalize import FenceAwareLegalizer, check_legal
+from repro.netlist import PlacementRegion, Row
 from repro.netlist.builder import NetlistBuilder
+from repro.runtime.job import PlacementJob
 
 from tests.test_dp_golden import DESIGNS, GOLDEN
 
@@ -187,21 +194,70 @@ def shuffled(nl, x, y, seed):
     return x, y
 
 
+def assert_same_swaps(nl, x, y, passes=2):
+    fast = DetailedPlacer(nl, max_passes=passes).place(x, y)
+    reference = SequentialSwapPlacer(nl, max_passes=passes).place(x, y)
+    np.testing.assert_array_equal(fast.x, reference.x)
+    np.testing.assert_array_equal(fast.y, reference.y)
+    assert fast.moves_by_operator == reference.moves_by_operator
+    assert fast.hpwl_after == reference.hpwl_after
+    assert check_legal(nl, fast.x, fast.y).legal
+    return fast
+
+
 @pytest.mark.parametrize("design", ["fft1", "fenced"])
 def test_swap_decisions_match_sequential_under_many_moves(
     design, golden, netlists
 ):
     nl = netlists[design]
     x, y = shuffled(nl, golden[f"{design}_x"], golden[f"{design}_y"], seed=3)
-    batched = DetailedPlacer(nl, max_passes=2).place(x, y)
-    reference = SequentialSwapPlacer(nl, max_passes=2).place(x, y)
-    np.testing.assert_array_equal(batched.x, reference.x)
-    np.testing.assert_array_equal(batched.y, reference.y)
-    assert batched.moves_by_operator == reference.moves_by_operator
-    assert batched.hpwl_after == reference.hpwl_after
-    # Enough swaps that several land inside one batch's replay.
-    assert batched.moves_by_operator["swap"] >= 20, batched.moves_by_operator
-    assert check_legal(nl, batched.x, batched.y).legal
+    result = assert_same_swaps(nl, x, y)
+    # Enough swaps that the refresh after one is exercised many times.
+    assert result.moves_by_operator["swap"] >= 20, result.moves_by_operator
+
+
+def test_swap_decisions_match_sequential_on_a_small_job():
+    """A job shaped like the ``serve-small`` benchmark's: 150 cells of
+    ``fft_1``, 40 GP iterations, legalized as the flow does."""
+    job = PlacementJob(design="fft_1", cells=150, params={"max_iterations": 40})
+    nl = job.load_netlist()
+    gp = XPlacer(nl, job.effective_params()).run()
+    x, y = FenceAwareLegalizer(nl).legalize(gp.x, gp.y)
+    result = assert_same_swaps(nl, x, y)
+    assert result.moves_by_operator["swap"] >= 20, result.moves_by_operator
+
+
+def assert_swap_deltas_match(dp: DetailedPlacer, x, y, pairs: int = 300):
+    """Random swaps scored from the cached boxes equal ``_trial_hpwl``'s
+    gains bit for bit, with the boxes read off the pass-start arrays and
+    rebuilt pin by pin alike."""
+    nl = dp.netlist
+    rows = PlacementRows(nl, x, y)
+    boxes = _NetBoxes(dp, rows.x, rows.y, dp._other_pin_boxes(rows.x, rows.y))
+    rng = np.random.default_rng(0)
+    cells = nl.movable_index
+    trials = [
+        (int(a), int(b), *rng.uniform(nl.region.xl, nl.region.xh, 2),
+         *rng.uniform(nl.region.yl, nl.region.yh, 2))
+        for a, b in rng.choice(cells, (pairs, 2))
+        if a != b
+    ]
+    for rebuilt in (False, True):
+        if rebuilt:
+            boxes.forget(cells.tolist())
+        for a, b, ax, bx, ay, by in trials:
+            want = swap_deltas(dp, a, [(b, ax, bx, ay, by)], rows)[0]
+            assert dp._swap_delta(a, b, ax, ay, bx, by, boxes) == want
+        for a in cells.tolist():
+            assert dp._optimal_point(a, boxes) == optimal_point(
+                dp, a, rows.x, rows.y)
+
+
+@pytest.mark.parametrize("design", sorted(DESIGNS))
+def test_swap_deltas_match_trial_hpwl(design, golden, netlists):
+    nl = netlists[design]
+    x, y = shuffled(nl, golden[f"{design}_x"], golden[f"{design}_y"], seed=3)
+    assert_swap_deltas_match(DetailedPlacer(nl), x, y)
 
 
 @pytest.mark.parametrize("design", sorted(DESIGNS))
@@ -254,3 +310,62 @@ def test_zero_swap_candidates_apply_no_swap(golden, netlists):
     result = DetailedPlacer(nl, max_passes=1, swap_candidates=0).place(x, y)
     assert result.moves_by_operator["swap"] == 0
     assert DetailedPlacer(nl, max_passes=1).place(x, y).moves_by_operator["swap"] > 0
+
+
+# ----------------------------------------------------------------------
+# Edge cases on a hand-built design.
+# ----------------------------------------------------------------------
+def swap_edge_design():
+    """Four rows of 40 sites, unit cells, zero-size fixed pads.
+
+    * ``a`` (row 0, x 2.5) is tied to pad ``pa`` at the right end, so it
+      swaps with ``z``, the net-less cell by that pad.  ``z`` is visited
+      after ``a``: its optimal point is its own position, so it must be
+      refreshed after the swap, or the stale one pulls it back to the
+      right, where the net-less ``y`` would take a zero-gain swap.
+    * ``c`` (row 2, x 10.5) and ``d`` (row 2, x 20.5) share net ``cd``
+      and swap: ``c`` has two pins on ``c3`` pulling it right, ``d`` is
+      pulled left by ``d4``.
+    """
+    builder = NetlistBuilder("swap_edges")
+    builder.set_region(PlacementRegion(
+        0, 0, 40, 4, rows=[Row(r, 1, 0, 40) for r in range(4)]
+    ))
+    for name, x, y in (("pa", 39.5, 0.5), ("p2", 25.0, 2.5),
+                       ("p3", 16.0, 3.5), ("p4", 5.0, 2.5)):
+        builder.add_cell(name, 0, 0, movable=False, x=x, y=y)
+    for name in ("a", "c", "d", "y", "z"):
+        builder.add_cell(name, 1, 1)
+    builder.add_net("ap", [("a", 0.0, 0.0), ("pa", 0.0, 0.0)])
+    builder.add_net("cd", [("c", 0.1, 0.0), ("d", -0.2, 0.1),
+                           ("p2", 0.0, 0.0)])
+    builder.add_net("c3", [("c", -0.3, 0.1), ("c", 0.4, -0.2),
+                           ("p3", 0.0, 0.0)])
+    builder.add_net("d4", [("d", 0.0, 0.0), ("p4", 0.0, 0.0)])
+    nl = builder.build()
+    x = np.array([39.5, 25.0, 22.0, 5.0, 2.5, 10.5, 20.5, 36.5, 38.5])
+    y = np.array([0.5, 2.5, 3.5, 2.5, 0.5, 2.5, 2.5, 0.5, 0.5])
+    return nl, x, y
+
+
+def test_swap_edge_cases_match_sequential():
+    nl, x, y = swap_edge_design()
+    a, c, d, y_cell, z = (nl.cell_index(n) for n in ("a", "c", "d", "y", "z"))
+    assert check_legal(nl, x, y).legal
+    assert list(nl.movable_index).index(z) > list(nl.movable_index).index(a)
+    dp = DetailedPlacer(nl, max_passes=1)
+    fast, reference = PlacementRows(nl, x, y), PlacementRows(nl, x, y)
+    applied = dp._global_swap_pass(fast)
+    assert applied == sequential_swap_pass(dp, reference)
+    np.testing.assert_array_equal(fast.x, reference.x)
+    np.testing.assert_array_equal(fast.y, reference.y)
+    assert fast.members == reference.members
+    # a took z's slot, z took a's and stayed there; y never moved.
+    assert (fast.x[a], fast.x[z], fast.x[y_cell]) == (38.5, 2.5, 36.5)
+    # c and d, which share a net, swapped.
+    assert (fast.x[c], fast.x[d]) == (20.5, 10.5)
+    assert applied == 2
+    for passes in (1, 2):
+        assert_same_swaps(nl, x, y, passes)
+    # c's own pins on c3 set its box once c moves right of p3.
+    assert_swap_deltas_match(dp, x, y, pairs=200)

@@ -218,3 +218,34 @@ def test_reorder_edge_cases_match_sequential(fence_middle):
     # A window mixing fence groups is skipped.
     c_moved = bool((fast.x[5:8] != x[5:8]).any())
     assert c_moved == fence_middle
+
+
+def test_reorder_fit_test_rejects_packing_past_tolerated_overlaps():
+    """``check_legal`` accepts overlaps of up to 1e-6 between neighbours.
+
+    Here w0, w1 and w2 overlap by 9e-7 each and n abuts w2, so every
+    permutation of the window, packed from w0's left edge, ends 1.8e-6
+    past n's left edge.  The fit test rejects them all; applying the best
+    one (w0 last, nearest its pad) would overlap n by 1.8e-6.  With a
+    unit of slack before n, the same window is reordered.
+    """
+    overlap = 9e-7
+    for slack, reordered in ((0.0, False), (1.0, True)):
+        builder = NetlistBuilder("reorder_fit")
+        builder.set_region(PlacementRegion(0, 0, 20, 1, rows=[Row(0, 1, 0, 20)]))
+        builder.add_cell("pad", 0, 0, movable=False, x=15.0, y=0.5)
+        for name in ("w0", "w1", "w2", "n"):
+            builder.add_cell(name, 1, 1)
+        builder.add_net("pull", [("w0", 0.0, 0.0), ("pad", 0.0, 0.0)])
+        nl = builder.build()
+        x = np.array([15.0, 5.5, 6.5 - overlap, 7.5 - 2 * overlap,
+                      8.5 - 2 * overlap + slack])
+        y = np.full(5, 0.5)
+        assert check_legal(nl, x, y).legal
+        dp = DetailedPlacer(nl, max_passes=1)
+        fast, reference = PlacementRows(nl, x, y), PlacementRows(nl, x, y)
+        applied = dp._local_reorder_pass(fast)
+        assert applied == sequential_reorder_pass(dp, reference)
+        np.testing.assert_array_equal(fast.x, reference.x)
+        assert (applied > 0) == reordered
+        assert check_legal(nl, fast.x, fast.y).legal

@@ -45,6 +45,22 @@ class TestFenceRegion:
         )
         assert not ok[0]
 
+    def test_contains_cell_matches_contains_box(self):
+        fence = FenceRegion("f", ((0, 0, 10, 10), (20, 0, 30, 10)))
+        rng = np.random.default_rng(2)
+        x = rng.uniform(-2, 32, 400)
+        y = rng.uniform(-2, 12, 400)
+        hw = rng.uniform(0, 2, 400)
+        hh = rng.uniform(0, 2, 400)
+        # Boxes exactly on an edge and within the 1e-6 tolerance past it.
+        x[:3] = [1.0, 9.0 + 5e-7, 21.0 - 2e-6]
+        y[:3] = 5.0
+        hw[:3] = hh[:3] = 1.0
+        want = fence.contains_box(x, y, hw, hh)
+        got = [fence.contains_cell(*args) for args in zip(x, y, hw, hh)]
+        assert got == want.tolist()
+        assert want[:3].tolist() == [True, True, False]
+
     def test_clamp_into_nearest_box(self):
         fence = FenceRegion("f", ((0, 0, 10, 10), (20, 0, 30, 10)))
         hw = np.array([1.0, 1.0])
