@@ -5,10 +5,13 @@ density evaluation, and the autograd-vs-closed-form gradient — the
 per-operator view that Table 3 aggregates per iteration — and one
 detailed placement pass on the golden ``fft_1@1000`` legal input
 (``tests/data/dp_golden.npz``), plain and with same-width cells shuffled
-within their segments so that many moves apply.  Run from the repository
+within their segments so that many moves apply, and Abacus legalization
+of the GP run that input was legalized from.  Run from the repository
 root (``python -m pytest benchmarks/test_operator_microbench.py``): the
-DP rows take their input from ``tests``.
+DP and LG rows take their input from ``tests``.
 """
+
+import time
 
 import numpy as np
 import pytest
@@ -16,8 +19,11 @@ import pytest
 from conftest import SCALE, TableCollector
 from repro.benchgen import make_design
 from repro.density import DensitySystem
+from repro.core import XPlacer
 from repro.detail import DetailedPlacer
+from repro.legalize import AbacusLegalizer, check_legal
 from repro.ops import use_profiler
+from repro.runtime.job import PlacementJob
 from repro.wirelength import WirelengthOp
 from repro.wirelength.wa_autograd import AutogradWirelengthOp
 from tests.test_dp_golden import DESIGNS, GOLDEN
@@ -32,6 +38,12 @@ _dp_table = TableCollector(
     "Detailed placement, one pass on golden fft_1@1000 (moves; ms per operator)",
     f"{'input':<10} {'reorder':>8} {'swap':>6} {'ism':>5} "
     f"{'reorder ms':>11} {'swap ms':>8} {'ism ms':>7}",
+)
+
+
+_lg_table = TableCollector(
+    "Abacus legalization of the golden fft_1@1000 GP output",
+    f"{'input':<10} {'cells':>6} {'ms':>7}",
 )
 
 
@@ -122,3 +134,24 @@ def test_detailed_placement_pass(benchmark, dp_input, shuffle):
         f"{ms['swap']:>8.1f} {ms['ism']:>7.1f}"
     )
     assert result.hpwl_after < result.hpwl_before
+
+
+@pytest.fixture(scope="module")
+def lg_input():
+    """The GP output the golden ``fft1`` legal input was legalized from
+    (the recipe in ``tests/test_dp_golden.py``)."""
+    job = PlacementJob(design="fft_1", cells=1000, seed=1,
+                       params={"max_iterations": 1000})
+    netlist = job.load_netlist()
+    gp = XPlacer(netlist, job.effective_params()).run()
+    return netlist, gp.x, gp.y
+
+
+def test_abacus_legalization(benchmark, lg_input):
+    netlist, x, y = lg_input
+    lx, ly = benchmark(lambda: AbacusLegalizer(netlist).legalize(x, y))
+    assert check_legal(netlist, lx, ly).legal
+    began = time.perf_counter()
+    AbacusLegalizer(netlist).legalize(x, y)
+    ms = 1e3 * (time.perf_counter() - began)
+    _lg_table.add(f"{'fft1 GP':<10} {len(netlist.movable_index):>6} {ms:>7.1f}")

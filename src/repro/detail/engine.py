@@ -738,28 +738,65 @@ class _NetBoxes:
         return zip(self.cell_nets[cell], self.table[lo:hi].tolist())
 
     def forget(self, cells: Sequence[int]) -> None:
-        """``cells`` moved: re-span their nets, rebuild the boxes of the
-        cells on them pin by pin and mark those cells as moved."""
-        xs, ys = self.xs, self.ys
-        self.moved.update(cells)
-        for net in set().union(*(self.cell_nets[c] for c in cells)):
-            pins = self.net_pins[net]
-            px = [xs[c] + dx for c, dx, __ in pins]
-            py = [ys[c] + dy for c, __, dy in pins]
-            self.spans[net] = max(px) - min(px) + max(py) - min(py)
-            for cell in {c for c, __, __ in pins}:
-                self.moved.add(cell)
-                k = self._start[cell] + self.cell_nets[cell].index(net)
-                self.table[k, :4] = self._box(cell, net)
+        """``cells`` moved: re-span their nets, refresh the boxes of the
+        cells on them and mark those cells as moved.
 
-    def _box(self, cell: int, net: int) -> Tuple[float, float, float, float]:
-        """The net's box over the pins of other cells, as placed now."""
-        others = [pin for pin in self.net_pins[net] if pin[0] != cell]
-        if not others:
-            return np.inf, -np.inf, np.inf, -np.inf
-        px = [self.xs[c] + dx for c, dx, __ in others]
-        py = [self.ys[c] + dy for c, __, dy in others]
-        return min(px), max(px), min(py), max(py)
+        One walk over each net's pins finds, for each side of its box,
+        the extreme, its holder (the cell of the first pin reaching it)
+        and the extreme over the pins of all other cells: the side of
+        the other-pin box is that last one for the holder and the
+        extreme for every other cell, as in :meth:`_other_pin_boxes`.
+        When a pin of another cell passes the extreme, the old extreme
+        was held by a cell other than the new holder, so it becomes the
+        new holder's other-cell extreme.
+        """
+        xs, ys = self.xs, self.ys
+        table, start, cell_nets = self.table, self._start, self.cell_nets
+        inf = np.inf
+        self.moved.update(cells)
+        for net in set().union(*(cell_nets[c] for c in cells)):
+            # Per side: extreme, holder, extreme over the other cells.
+            lx = ly = inf
+            hx = hy = -inf
+            lxc = hxc = lyc = hyc = -1
+            lxo = lyo = inf
+            hxo = hyo = -inf
+            for c, dx, dy in self.net_pins[net]:
+                px = xs[c] + dx
+                py = ys[c] + dy
+                if px < lx:
+                    if c != lxc:
+                        lxo, lxc = lx, c
+                    lx = px
+                elif c != lxc and px < lxo:
+                    lxo = px
+                if px > hx:
+                    if c != hxc:
+                        hxo, hxc = hx, c
+                    hx = px
+                elif c != hxc and px > hxo:
+                    hxo = px
+                if py < ly:
+                    if c != lyc:
+                        lyo, lyc = ly, c
+                    ly = py
+                elif c != lyc and py < lyo:
+                    lyo = py
+                if py > hy:
+                    if c != hyc:
+                        hyo, hyc = hy, c
+                    hy = py
+                elif c != hyc and py > hyo:
+                    hyo = py
+            self.spans[net] = hx - lx + hy - ly
+            for cell in {c for c, __, __ in self.net_pins[net]}:
+                self.moved.add(cell)
+                table[start[cell] + cell_nets[cell].index(net), :4] = (
+                    lxo if cell == lxc else lx,
+                    hxo if cell == hxc else hx,
+                    lyo if cell == lyc else ly,
+                    hyo if cell == hyc else hy,
+                )
 
 
 def _box_medians(

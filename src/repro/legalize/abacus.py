@@ -47,12 +47,11 @@ class _Cluster:
         self.w += other.w
 
     def optimal_x(self, segment: Segment) -> float:
-        x = self.q / self.e if self.e > 0 else segment.xl
-        return min(max(x, segment.xl), segment.xh - self.w)
+        return _optimal_x(self.q, self.e, self.w, segment)
 
 
 class _SegmentState:
-    """Cluster list of one segment with trial/commit semantics."""
+    """Cluster list of one segment: trial inserts and committed ones."""
 
     def __init__(self, segment: Segment) -> None:
         self.segment = segment
@@ -62,16 +61,48 @@ class _SegmentState:
     def fits(self, width: float) -> bool:
         return self.segment.width - self.used >= width - 1e-9
 
-    def place(self, cell: int, width: float, desired: float, weight: float,
-              commit: bool) -> Optional[Tuple[float, List[_Cluster]]]:
-        """Insert the cell; return (its left edge, new cluster list).
+    def trial(self, width: float, desired: float,
+              weight: float) -> Optional[float]:
+        """The left edge a cell would get from :meth:`place`, or ``None``
+        if it does not fit; the clusters are left as they are.
+
+        Walks back over the tail clusters the insert would merge, with
+        the committing path's arithmetic in its order, so the edge is
+        bit-identical to the one the committed clusters give.
+        """
+        if not self.fits(width):
+            return None
+        segment = self.segment
+        # The fresh cluster of the cell alone (``_Cluster.add_cell``).
+        e = 0.0 + weight
+        q = 0.0 + weight * (desired - 0.0)
+        w = 0.0 + width
+        x = _optimal_x(q, e, w, segment)
+        clusters = self.clusters
+        first = len(clusters)
+        while first:
+            prev = clusters[first - 1]
+            if prev.x + prev.w <= x + 1e-12:
+                break
+            first -= 1
+            # ``prev.merge(tail)``, the merged tail's edge re-optimised.
+            q = prev.q + (q - e * prev.w)
+            e = prev.e + e
+            w = prev.w + w
+            x = _optimal_x(q, e, w, segment)
+        for cluster in clusters[first:]:
+            for (__, cw, __) in cluster.cells:
+                x += cw
+        return x
+
+    def place(self, cell: int, width: float, desired: float,
+              weight: float) -> None:
+        """Insert a cell that :meth:`fits`.
 
         Abacus collapse: append as a fresh cluster, then merge backward
         while clusters overlap, re-optimising positions.
         """
-        if not self.fits(width):
-            return None
-        clusters = self.clusters if commit else [self._copy(c) for c in self.clusters]
+        clusters = self.clusters
         cluster = _Cluster()
         cluster.add_cell(cell, width, desired, weight)
         cluster.x = cluster.optimal_x(self.segment)
@@ -84,24 +115,13 @@ class _SegmentState:
             prev.merge(last)
             clusters.pop()
             prev.x = prev.optimal_x(self.segment)
-        # Locate the inserted cell's final edge.
-        tail = clusters[-1]
-        offset = tail.x
-        position = None
-        for (c, cw, __) in tail.cells:
-            if c == cell:
-                position = offset
-            offset += cw
-        if commit:
-            self.clusters = clusters
-            self.used += width
-        return position, clusters
+        self.used += width
 
-    @staticmethod
-    def _copy(cluster: _Cluster) -> _Cluster:
-        clone = _Cluster(cluster.x, cluster.e, cluster.q, cluster.w,
-                         list(cluster.cells))
-        return clone
+
+def _optimal_x(q: float, e: float, w: float, segment: Segment) -> float:
+    """:meth:`_Cluster.optimal_x` of a cluster with these sums."""
+    x = q / e if e > 0 else segment.xl
+    return min(max(x, segment.xl), segment.xh - w)
 
 
 class AbacusLegalizer:
@@ -154,11 +174,10 @@ class AbacusLegalizer:
                     break
                 row_has_fit = False
                 for seg_i, state in enumerate(states[row_i]):
-                    trial = state.place(cell, w, desired, weight, commit=False)
-                    if trial is None:
+                    pos = state.trial(w, desired, weight)
+                    if pos is None:
                         continue
                     row_has_fit = True
-                    pos, __ = trial
                     cost = abs(pos - desired) + dy
                     if cost < best_cost:
                         best_cost = cost
@@ -171,9 +190,7 @@ class AbacusLegalizer:
                     f"{netlist.cell_name[cell]} (width {w})"
                 )
             row_i, seg_i = best_choice
-            pos, __ = states[row_i][seg_i].place(
-                cell, w, desired, weight, commit=True
-            )
+            states[row_i][seg_i].place(cell, w, desired, weight)
             placement[cell] = row_i
 
         # Final cluster positions determine every cell's location.

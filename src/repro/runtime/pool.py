@@ -184,7 +184,7 @@ class WorkerPool:
         events = events if events is not None else scheduler.events
         self._shutdown = False
         previous = self._install_signal_handlers()
-        workers = None
+        workers = lifecycle = None
         try:
             workers = WarmPool(
                 workers=1 if self.inline else self.max_workers,
@@ -211,6 +211,8 @@ class WorkerPool:
                     self._cut_race(lifecycle, scheduler)
                     break
         finally:
+            if lifecycle is not None:
+                lifecycle.close()
             if workers is not None:
                 workers.shutdown()
             self._restore_signal_handlers(previous)

@@ -17,7 +17,8 @@ service.  Three layers:
 :mod:`repro.service.lifecycle`
     The one execution policy: dispatch onto warm workers, deadlines,
     crash/timeout retries with backoff, hang preemption, worker
-    quarantine with canary probes — one ``step()`` per poll window.
+    quarantine with canary probes — each ``step()`` waits at most one
+    poll window, and a submission or cancellation wakes it at once.
 
 :mod:`repro.service.warm`
     Warm workers: persistent processes that keep loaded designs

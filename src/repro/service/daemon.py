@@ -196,8 +196,6 @@ class PlacementService:
             slow_op_seconds=self.supervision.slow_op_seconds,
             max_buffered=self.supervision.journal_buffer,
         )
-        self._journal_lock = threading.Lock()
-        self._journaled_terminal: set = set()
         self._stop = threading.Event()
         self._loop_thread: Optional[threading.Thread] = None
         self.recovered: List[str] = []       # tickets resumed on start
@@ -210,24 +208,18 @@ class PlacementService:
         self.journal.append(record)
 
     def _journal_terminals(self) -> None:
-        """Append a ``terminal`` op for every newly-terminal ticket
-        (followers resolve through their leader, so sweep them all).
+        """Append a ``terminal`` op for every ticket that turned terminal
+        since the last sweep, followers included.
 
-        The whole sweep holds ``_journal_lock``: it runs from the drive
-        loop *and* from HTTP cancel threads, and the seen-set test and
-        the append must be one atomic step or two sweeps racing on the
-        same ticket both journal it.  (The :class:`Journal` has its own
-        leaf lock; ``_journal_lock`` guards the seen-set.)
+        The sweep runs from the drive loop *and* from HTTP cancel
+        threads; :meth:`Scheduler.take_terminal` hands each ticket to one
+        sweep only, so racing sweeps never journal a ticket twice, and a
+        sweep costs the new terminals, not the daemon's history.
         """
-        with self._journal_lock:
-            for entry in self.scheduler.entries():
-                if entry.terminal \
-                        and entry.ticket not in self._journaled_terminal:
-                    self._journaled_terminal.add(entry.ticket)
-                    self.journal.append(
-                        {"op": "terminal", "ticket": entry.ticket,
-                         "state": entry.state,
-                         "job_id": entry.job.job_id})
+        for entry in self.scheduler.take_terminal():
+            self.journal.append(
+                {"op": "terminal", "ticket": entry.ticket,
+                 "state": entry.state, "job_id": entry.job.job_id})
 
     def _replay_journal(self) -> None:
         """Resubmit every ticket the previous life left in flight.
@@ -239,10 +231,6 @@ class PlacementService:
         replay = read_journal(self._journal_path)
         self.journal_dropped += replay.dropped
         self.journal_duplicates += replay.duplicate_terminals
-        with self._journal_lock:
-            self._journaled_terminal.update(
-                ticket for ticket in replay.submitted
-                if ticket in replay.finished)
         for ticket in replay.pending():
             record = replay.submitted[ticket]
             try:
@@ -321,6 +309,16 @@ class PlacementService:
         shedding low priorities, or draining) — nothing is journaled
         for a rejected submission.
         """
+        return self._submit(spec)[0]
+
+    def accept(self, spec: Dict[str, Any]) -> Dict[str, Any]:
+        """:meth:`submit`, answered with the entry's JSON view as it was
+        accepted (``POST /jobs``): the drive loop may lease the job
+        before the caller could look at the entry."""
+        return self._submit(spec)[1]
+
+    def _submit(self, spec: Dict[str, Any]
+                ) -> Tuple[ScheduledJob, Dict[str, Any]]:
         priority = 0
         tenant = "default"
         group = None
@@ -331,12 +329,17 @@ class PlacementService:
             spec = spec["job"]
         job = PlacementJob.from_dict(spec)
         self.supervisor.admit(priority, job_id=job.job_id, tenant=tenant)
+        # The view is taken before the woken loop can lease the entry.
+        # Replay does not depend on the order of a ticket's records, so
+        # the loop may run the job while its submit record is written.
         entry = self.scheduler.submit(job, priority=priority, tenant=tenant,
-                                      group=group)
+                                      group=group, notify=False)
+        accepted = entry.to_dict()
+        self.scheduler.notify()
         self._journal({"op": "submit", "ticket": entry.ticket,
                        "job": job.to_dict(), "priority": priority,
                        "tenant": tenant, "group": group})
-        return entry
+        return entry, accepted
 
     def cancel(self, ticket: str) -> Optional[str]:
         outcome = self.scheduler.cancel(ticket)
@@ -508,7 +511,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 self._error(400, "body must be a JSON object")
                 return
             try:
-                entry = service.submit(spec)
+                accepted = service.accept(spec)
             except BrownoutShed as err:
                 # Brownout: the service is degraded (shedding
                 # low-priority work) or draining (shedding everything).
@@ -537,7 +540,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             except (ValueError, TypeError) as err:
                 self._error(400, f"bad job spec: {err}")
                 return
-            self._json(201, entry.to_dict())
+            self._json(201, accepted)
         elif len(parts) == 3 and parts[0] == "jobs" \
                 and parts[2] == "cancel":
             outcome = service.cancel(parts[1])

@@ -179,9 +179,11 @@ def read_journal(path: str) -> JournalReplay:
     * An interleaved partial record — a line that parses but is missing
       its op's required keys (``ticket``; ``job`` for submits) — is
       dropped rather than poisoning the table.
-    * A duplicated terminal record (two sweeps raced before the
-      seen-set existed, or a replayed buffer) folds idempotently;
-      ``duplicate_terminals`` counts them for the report.
+    * A duplicated terminal record (an older daemon's racing sweeps,
+      or a replayed buffer) folds idempotently; ``duplicate_terminals``
+      counts them for the report.
+    * A ticket's records may come in any order: the drive loop can
+      finish a job (a cache hit) before its submit record is written.
 
     Later records win for resubmission metadata, matching append order.
     """

@@ -3,7 +3,11 @@
 :class:`Lifecycle` drives :class:`~repro.service.scheduler.Scheduler`
 entries through a :class:`~repro.service.warm.WarmPool` under a
 :class:`~repro.supervision.supervisor.Supervisor`.  Each
-:meth:`Lifecycle.step` is one poll window:
+:meth:`Lifecycle.step` waits at most :data:`POLL_SECONDS` for worker
+messages.  A submission or cancellation ends the wait at once (the
+scheduler calls :meth:`~repro.service.warm.WarmPool.wake`), so new work
+is dispatched without waiting out the window, and policing still runs
+at least once per window.  A step is:
 
 1. *dispatch* — lease runnable entries onto idle workers (first
    attempts short-circuit through the result cache; cancel-requested
@@ -39,7 +43,10 @@ from repro.service.scheduler import ScheduledJob, Scheduler
 from repro.service.warm import WarmPool
 from repro.supervision.supervisor import Supervisor
 
-#: Seconds one :meth:`Lifecycle.step` waits for worker messages.
+#: Longest wait of one :meth:`Lifecycle.step` for worker messages.  A
+#: worker message, a submission or a cancellation ends it sooner, so
+#: this only bounds how long policing (hangs, deadlines, crashed workers,
+#: canary probes) can wait while nothing else happens.
 POLL_SECONDS = 0.05
 
 
@@ -112,13 +119,21 @@ class Lifecycle:
         self.active: Dict[str, Attempt] = {}
         self.halted = False
         self._budgets: Dict[str, _Budget] = {}
+        # A submission or cancellation ends the step's wait at once.
+        scheduler.add_listener(pool.wake)
+
+    def close(self) -> None:
+        """Stop waking the pool on the scheduler's changes (the
+        scheduler may outlive this loop)."""
+        self.scheduler.remove_listener(self.pool.wake)
 
     def step(self, dispatch: bool = True) -> None:
-        """One poll window; ``dispatch=False`` only finishes and
-        polices what already runs (a draining executor)."""
+        """One poll window, cut short by a submission or cancellation;
+        ``dispatch=False`` only finishes and polices what already runs
+        (a draining executor)."""
         if dispatch:
             self._dispatch()
-        for message in self.pool.poll(POLL_SECONDS):
+        for message in self.pool.poll(POLL_SECONDS, wakeable=True):
             self._handle_message(message)
         self._police()
         if dispatch:

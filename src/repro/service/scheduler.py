@@ -34,7 +34,7 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.runtime.events import EventLog
 from repro.runtime.job import JobResult, PlacementJob
@@ -153,9 +153,12 @@ class Scheduler:
 
     Thread-safe: submitters, executors and HTTP handlers may call in
     concurrently; :meth:`lease` and :meth:`wait` block on an internal
-    condition.  ``quotas`` maps tenant → max concurrently running
-    entries (``default_quota`` applies to unlisted tenants; ``None``
-    means unbounded).  ``dedupe=False`` (the batch pool) disables
+    condition.  Listeners (:meth:`add_listener`) are called, outside the
+    lock, after every submission and cancellation: an executor that
+    blocks elsewhere (the warm pool's poll) wakes up through them.
+    ``quotas`` maps tenant → max concurrently running entries
+    (``default_quota`` applies to unlisted tenants; ``None`` means
+    unbounded).  ``dedupe=False`` (the batch pool) disables
     in-flight coalescing so a manifest behaves exactly as before the
     layer split; the cache path is always available but only consulted
     when an executor calls :meth:`cache_lookup`.
@@ -188,6 +191,9 @@ class Scheduler:
         self._queued_per_tenant: Dict[str, int] = {}
         self._recent_seconds: List[float] = []  # retry_after estimator
         self._inflight: Dict[str, str] = {}  # content_hash → leader ticket
+        self._followers: Dict[str, List[ScheduledJob]] = {}  # by leader
+        self._newly_terminal: List[ScheduledJob] = []  # see take_terminal
+        self._listeners: List[Callable[[], None]] = []
         self._ticket_seq = itertools.count(1)
         self._closed = False
 
@@ -202,6 +208,7 @@ class Scheduler:
         resume: bool = False,
         group: Optional[str] = None,
         enforce_limit: bool = True,
+        notify: bool = True,
     ) -> ScheduledJob:
         """Queue one job; returns its lifecycle entry.
 
@@ -217,6 +224,10 @@ class Scheduler:
         (retries must never be dropped by backpressure) and
         ``enforce_limit=False`` submissions (journal replay: already-
         accepted work must not be dropped on restart).
+
+        ``notify=False`` leaves the listeners to a later :meth:`notify`,
+        so the caller can record the entry as accepted before an
+        executor leases it.
         """
         with self._cond:
             if self._closed:
@@ -244,6 +255,7 @@ class Scheduler:
                              seed=job.effective_seed(), placer=job.placer)
             if is_follower:
                 entry.deduped_onto = leader
+                self._followers.setdefault(leader, []).append(entry)
                 self.events.emit("deduped", job.job_id, ticket=ticket,
                                  leader=leader, key=key)
             else:
@@ -252,7 +264,25 @@ class Scheduler:
                                (-priority, next(self._seq), ticket))
                 self._count_queued(entry)
             self._cond.notify_all()
-            return entry
+        if notify:
+            self.notify()
+        return entry
+
+    def add_listener(self, listener: Callable[[], None]) -> None:
+        """Call ``listener()`` after every submission and cancellation."""
+        with self._cond:
+            self._listeners.append(listener)
+
+    def remove_listener(self, listener: Callable[[], None]) -> None:
+        with self._cond:
+            self._listeners.remove(listener)
+
+    def notify(self) -> None:
+        """Call every listener (outside the lock)."""
+        with self._cond:
+            listeners = list(self._listeners)
+        for listener in listeners:
+            listener()
 
     def _count_queued(self, entry: ScheduledJob) -> None:
         entry.queued_counted = True
@@ -411,11 +441,13 @@ class Scheduler:
             if entry.state == QUEUED:
                 self._resolve(entry, cancelled_result(entry.job, reason))
                 self.events.emit("cancelled", entry.job.job_id)
-                self._cond.notify_all()
-                return "cancelled"
-            entry.cancel_requested = True
+                outcome = "cancelled"
+            else:
+                entry.cancel_requested = True
+                outcome = "requested"
             self._cond.notify_all()
-            return "requested"
+        self.notify()
+        return outcome
 
     def cancel_group(self, group: str,
                      reason: str = "group cancelled") -> Dict[str, int]:
@@ -439,6 +471,7 @@ class Scheduler:
                     entry.cancel_requested = True
                     counts["requested"] += 1
             self._cond.notify_all()
+        self.notify()
         return counts
 
     def mark_cancelled(self, entry: ScheduledJob,
@@ -480,17 +513,27 @@ class Scheduler:
                 and not result.cached:
             self._recent_seconds.append(result.seconds)
             del self._recent_seconds[:-32]
+        if not entry.terminal:
+            self._newly_terminal.append(entry)
         entry.result = result
         entry.state = _STATUS_STATE.get(result.status, FAILED)
         entry.finished_ts = time.time()
         key = entry.job.content_hash()
         if self._inflight.get(key) == entry.ticket:
             del self._inflight[key]
-        for other in self._entries.values():
-            if other.deduped_onto == entry.ticket and not other.terminal:
+        for other in self._followers.pop(entry.ticket, ()):
+            if not other.terminal:
+                self._newly_terminal.append(other)
                 other.result = result
                 other.state = entry.state
                 other.finished_ts = entry.finished_ts
+
+    def take_terminal(self) -> List[ScheduledJob]:
+        """The entries that turned terminal since the last call, in the
+        order they did (followers included)."""
+        with self._cond:
+            taken, self._newly_terminal = self._newly_terminal, []
+            return taken
 
     # -- querying -----------------------------------------------------
 

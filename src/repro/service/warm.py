@@ -517,6 +517,11 @@ class WarmPool:
         self._unstarted = set(range(max(1, int(workers))))
         self._quarantined: set = set()
         self._manifest_sent: Dict[str, bool] = {}
+        # :meth:`wake` cuts a blocking :meth:`poll` short.  At most one
+        # wake byte is in flight (``_woken``), so a burst of wakes never
+        # fills the pipe.
+        self._wake_in, self._wake_out = mp_connection.Pipe(duplex=False)
+        self._woken = False
         # Optional CircuitBreaker guarding shared-memory publishes
         # (installed by the daemon's supervisor): while open, submits
         # skip the manifest and workers cold-load — the cold-attach
@@ -679,14 +684,25 @@ class WarmPool:
         with self._lock:
             return self._manifest_sent.pop(ticket, False)
 
-    def poll(self, timeout: float = 0.05) -> List[Dict[str, Any]]:
+    def wake(self) -> None:
+        """End the current (or next) wakeable :meth:`poll` early: new
+        work arrived.  Thread-safe; a no-op after :meth:`shutdown`."""
+        with self._lock:
+            if self._woken or self._wake_out.closed:
+                return
+            self._woken = True
+            self._wake_out.send_bytes(b"")
+
+    def poll(self, timeout: float = 0.05,
+             wakeable: bool = False) -> List[Dict[str, Any]]:
         """Worker messages: waits up to ``timeout`` seconds for the
-        first, then takes whatever else is already queued.
+        first, then takes whatever else is already queued.  A
+        ``wakeable`` poll also returns when :meth:`wake` is called.
 
         A ``_result`` of the attempt a worker is running frees that
         worker for the next submit.
         """
-        messages = self._read_pipes(timeout)
+        messages = self._read_pipes(timeout, wakeable)
         for message in messages:
             if message.get("event") != "_result":
                 continue
@@ -698,15 +714,25 @@ class WarmPool:
                 handle.busy = None
         return messages
 
-    def _read_pipes(self, timeout: float) -> List[Dict[str, Any]]:
+    def _read_pipes(self, timeout: float,
+                    wakeable: bool) -> List[Dict[str, Any]]:
         with self._lock:
             owners = {handle.inbox: handle
                       for handle in self._workers.values()
                       if not handle.inbox.closed}
+            if wakeable and not self._wake_in.closed:
+                owners[self._wake_in] = None
         messages: List[Dict[str, Any]] = []
         ready = mp_connection.wait(list(owners), max(0.0, timeout))
         while ready:
             for inbox in ready:
+                if inbox is self._wake_in:
+                    with self._lock:
+                        if not inbox.closed:
+                            inbox.recv_bytes()
+                            self._woken = False
+                    del owners[inbox]
+                    continue
                 try:
                     messages.append(inbox.recv())
                 except (EOFError, OSError):
@@ -771,5 +797,7 @@ class WarmPool:
         with self._lock:
             self._workers.clear()
             self._unstarted.clear()
+            self._wake_in.close()
+            self._wake_out.close()
         if self.store is not None:
             self.store.close()

@@ -10,7 +10,8 @@ candidates and scores against the placement as it stands, scored with
 (``test_dp_golden.py``) exercises only a handful of swaps, so these tests
 also shuffle the golden legal inputs until many swaps apply, run a job
 shaped like the ``serve-small`` benchmark's, and build a netlist that
-hits the refresh's edge cases.
+hits the refresh's edge cases.  :func:`pin_by_pin_box` rebuilds one
+(cell, net) box with its own pin walk: the reference for the refresh.
 """
 
 from typing import Tuple
@@ -230,7 +231,7 @@ def test_swap_decisions_match_sequential_on_a_small_job():
 def assert_swap_deltas_match(dp: DetailedPlacer, x, y, pairs: int = 300):
     """Random swaps scored from the cached boxes equal ``_trial_hpwl``'s
     gains bit for bit, with the boxes read off the pass-start arrays and
-    rebuilt pin by pin alike."""
+    refreshed by ``forget`` alike."""
     nl = dp.netlist
     rows = PlacementRows(nl, x, y)
     boxes = _NetBoxes(dp, rows.x, rows.y, dp._other_pin_boxes(rows.x, rows.y))
@@ -310,6 +311,97 @@ def test_zero_swap_candidates_apply_no_swap(golden, netlists):
     result = DetailedPlacer(nl, max_passes=1, swap_candidates=0).place(x, y)
     assert result.moves_by_operator["swap"] == 0
     assert DetailedPlacer(nl, max_passes=1).place(x, y).moves_by_operator["swap"] > 0
+
+
+# ----------------------------------------------------------------------
+# The box refresh after a swap against boxes rebuilt pin by pin.
+# ----------------------------------------------------------------------
+def pin_by_pin_box(boxes: _NetBoxes, cell: int, net: int):
+    """The net's box over the pins of other cells, as placed now, built
+    with one pin walk per (cell, net): the reference for ``forget``."""
+    others = [pin for pin in boxes.net_pins[net] if pin[0] != cell]
+    if not others:
+        return np.inf, -np.inf, np.inf, -np.inf
+    px = [boxes.xs[c] + dx for c, dx, __ in others]
+    py = [boxes.ys[c] + dy for c, __, dy in others]
+    return min(px), max(px), min(py), max(py)
+
+
+def assert_boxes_match_pin_by_pin(nl, boxes: _NetBoxes, cells=None):
+    """Every (cell, net) row of the box table and every span of a net of
+    ``cells`` (default: all cells) equal the pin-by-pin rebuild."""
+    cells = range(nl.num_cells) if cells is None else cells
+    for cell in cells:
+        for net, row in boxes.of(cell):
+            assert tuple(row[:4]) == pin_by_pin_box(boxes, cell, net), \
+                (cell, net)
+            pins = boxes.net_pins[net]
+            px = [boxes.xs[c] + dx for c, dx, __ in pins]
+            py = [boxes.ys[c] + dy for c, __, dy in pins]
+            assert boxes.spans[net] == max(px) - min(px) + max(py) - min(py)
+
+
+@pytest.mark.parametrize("design", sorted(DESIGNS))
+def test_forget_matches_pin_by_pin_boxes(design, golden, netlists):
+    """Random swaps on the shuffled golden inputs, each followed by the
+    refresh: the refreshed boxes equal a pin-by-pin rebuild."""
+    nl = netlists[design]
+    x, y = shuffled(nl, golden[f"{design}_x"], golden[f"{design}_y"], seed=3)
+    dp = DetailedPlacer(nl)
+    boxes = _NetBoxes(dp, x, y, dp._other_pin_boxes(x, y))
+    assert_boxes_match_pin_by_pin(nl, boxes)
+    rng = np.random.default_rng(7)
+    xs, ys = boxes.xs, boxes.ys
+    for a, b in rng.choice(nl.movable_index, (150, 2)).tolist():
+        xs[a], xs[b] = xs[b], xs[a]
+        ys[a], ys[b] = ys[b], ys[a]
+        boxes.forget((a, b))
+        touched = {c for cell in (a, b) for net in boxes.cell_nets[cell]
+                   for c, __, __ in boxes.net_pins[net]}
+        assert_boxes_match_pin_by_pin(nl, boxes, sorted(touched))
+    assert_boxes_match_pin_by_pin(nl, boxes)
+
+
+def test_forget_ties_and_one_cell_holding_both_extremes():
+    """``p`` and ``q`` reach the same extremes of ``tie`` at once; ``s``'s
+    two pins hold both x and both y extremes of ``both``, and on the
+    ``up``/``down`` nets both of its pins lie beyond ``t``'s, in either
+    pin order."""
+    builder = NetlistBuilder("box_edges")
+    builder.set_region(PlacementRegion(0, 0, 20, 20))
+    for name in ("p", "q", "r", "s", "t", "u"):
+        builder.add_cell(name, 1.0, 1.0)
+    builder.add_net("tie", [("p", 0.0, 0.0), ("q", 0.0, 0.0),
+                            ("r", 0.2, 0.1)])
+    builder.add_net("both", [("s", -0.4, -0.3), ("s", 0.4, 0.3),
+                             ("t", 0.0, 0.1), ("u", 0.1, 0.0)])
+    builder.add_net("pr", [("p", 0.1, 0.0), ("r", 0.0, 0.0)])
+    for side, sign in (("up", 1.0), ("down", -1.0)):
+        for order in ((0.3, 0.4), (0.4, 0.3)):
+            builder.add_net(f"{side}{order}", [
+                *(("s", sign * d, sign * d) for d in order), ("t", 0.0, 0.0)])
+    nl = builder.build()
+    p, q, r, s, t, u = range(6)
+    dp = DetailedPlacer(nl)
+    x = np.array([2.0, 4.0, 6.0, 14.0, 10.1, 9.9])
+    y = np.array([3.0, 5.0, 4.0, 12.0, 10.0, 10.1])
+    boxes = _NetBoxes(dp, x, y, dp._other_pin_boxes(x, y))
+    assert_boxes_match_pin_by_pin(nl, boxes)
+    # p joins q at both extremes of ``tie``; s moves over t and u.
+    boxes.xs[p], boxes.ys[p] = 4.0, 5.0
+    boxes.xs[s], boxes.ys[s] = 10.0, 10.0
+    boxes.forget((p, s))
+    assert min(boxes.xs[c] for c in (p, q, r)) == boxes.xs[p] == boxes.xs[q]
+    assert boxes.xs[s] - 0.4 < min(boxes.xs[t], boxes.xs[u] + 0.1)
+    assert boxes.xs[s] + 0.4 > max(boxes.xs[t], boxes.xs[u] + 0.1)
+    assert boxes.ys[s] - 0.3 < min(boxes.ys[t] + 0.1, boxes.ys[u])
+    assert boxes.ys[s] + 0.3 > max(boxes.ys[t] + 0.1, boxes.ys[u])
+    assert_boxes_match_pin_by_pin(nl, boxes)
+    # s holds all four sides: its other-pin box is t's and u's extent.
+    k = boxes._start[s] + boxes.cell_nets[s].index(list(nl.net_name).index("both"))
+    pin_y = (10.0 + 0.1, 10.1 + 0.0)
+    assert tuple(boxes.table[k, :4]) == (
+        9.9 + 0.1, 10.1 + 0.0, min(pin_y), max(pin_y))
 
 
 # ----------------------------------------------------------------------

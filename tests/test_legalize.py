@@ -1,5 +1,7 @@
 """Tests for row space, Tetris and Abacus legalizers, legality checker."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from repro.legalize import (
     build_row_space,
     check_legal,
 )
+from repro.legalize.abacus import _Cluster, _SegmentState
+from repro.legalize.rows import Segment
 from repro.netlist import NetlistBuilder, PlacementRegion
 from repro.wirelength import hpwl
 
@@ -100,6 +104,78 @@ class TestAbacusVsTetris:
             np.abs(ax[mov] - result.x[mov]) + np.abs(ay[mov] - result.y[mov])
         )
         assert disp_a <= disp_t * 1.05
+
+
+def edge_of(clusters, cell):
+    """The cell's left edge in the last of ``clusters``."""
+    offset = clusters[-1].x
+    for c, cw, __ in clusters[-1].cells:
+        if c == cell:
+            return offset
+        offset += cw
+
+
+def copying_trial(state, cell, width, desired, weight):
+    """The trial insert written as a commit on copies of every cluster:
+    the reference for ``_SegmentState.trial``."""
+    if not state.fits(width):
+        return None
+    segment = state.segment
+    clusters = [_Cluster(c.x, c.e, c.q, c.w, list(c.cells))
+                for c in state.clusters]
+    cluster = _Cluster()
+    cluster.add_cell(cell, width, desired, weight)
+    cluster.x = cluster.optimal_x(segment)
+    clusters.append(cluster)
+    while len(clusters) >= 2:
+        prev, last = clusters[-2], clusters[-1]
+        if prev.x + prev.w <= last.x + 1e-12:
+            break
+        prev.merge(last)
+        clusters.pop()
+        prev.x = prev.optimal_x(segment)
+    return edge_of(clusters, cell)
+
+
+class TestAbacusTrial:
+    """The copy-free trial gives the copying reference's edge bit for
+    bit, and the edge the committed insert then gives."""
+
+    def test_trial_matches_copying_reference(self):
+        merged = clamped_left = clamped_right = 0
+        for seed, in_x_order in itertools.product(range(6), (True, False)):
+            rng = np.random.default_rng(seed)
+            segment = Segment(float(rng.uniform(-5.0, 5.0)),
+                              float(rng.uniform(60.0, 90.0)))
+            widths = (rng.choice([0.5, 1.0, 1.7, 3.0], 200)
+                      * rng.uniform(1.0, 2.0, 200))
+            # A tenth more cell width than the segment holds.
+            n = int(np.searchsorted(np.cumsum(widths), 1.1 * segment.width))
+            # Targets bunch near a few points (merges over several
+            # clusters) and overshoot both segment ends (clamping).
+            desired = (rng.choice([segment.xl - 8.0, 20.0, 45.0,
+                                   segment.xh + 3.0], n)
+                       + rng.normal(0.0, 4.0, n))
+            if in_x_order:            # the legalizer's insertion order
+                desired.sort()
+            state = _SegmentState(segment)
+            for cell, (width, target) in enumerate(
+                    zip(widths[:n].tolist(), desired.tolist())):
+                weight = float(rng.uniform(0.5, 3.0))
+                before = len(state.clusters)
+                trial = state.trial(width, target, weight)
+                assert repr(trial) == repr(
+                    copying_trial(state, cell, width, target, weight))
+                if trial is None:
+                    continue
+                state.place(cell, width, target, weight)
+                assert repr(edge_of(state.clusters, cell)) == repr(trial)
+                merged = max(merged, before + 1 - len(state.clusters))
+                clamped_left += state.clusters[0].x == segment.xl
+                tail = state.clusters[-1]
+                clamped_right += tail.x == segment.xh - tail.w
+        assert merged >= 2           # an insert merged several clusters
+        assert clamped_left and clamped_right
 
 
 class TestCheckLegal:

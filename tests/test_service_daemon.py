@@ -11,8 +11,10 @@ import time
 
 import pytest
 
+from repro.runtime.job import PlacementJob
 from repro.service import PlacementService, ServiceClient, ServiceError
 from repro.service.daemon import make_server
+from repro.service.journal import read_journal
 
 FAKE = "tests.runtime_helpers:fake_pipeline"
 SLEEPY = "tests.runtime_helpers:sleepy_pipeline"
@@ -277,15 +279,12 @@ class TestJournal:
         """The terminal sweep runs from the drive loop and from HTTP
         cancel threads; racing sweeps must not double-journal a
         ticket."""
-        from types import SimpleNamespace
-
         service = PlacementService(str(tmp_path / "state"))
-        entries = [
-            SimpleNamespace(terminal=True, ticket=f"t{i}", state="done",
-                            job=SimpleNamespace(job_id=f"j{i}"))
-            for i in range(16)
-        ]
-        service.scheduler.entries = lambda: entries
+        scheduler = service.scheduler
+        entries = [scheduler.submit(PlacementJob.from_dict(make_spec(seed=i)))
+                   for i in range(16)]
+        for entry in entries:
+            scheduler.cancel(entry.ticket)
         threads = [
             threading.Thread(target=service._journal_terminals)
             for _ in range(8)
@@ -298,6 +297,128 @@ class TestJournal:
             records = [json.loads(line) for line in fh if line.strip()]
         terminal = [r["ticket"] for r in records if r["op"] == "terminal"]
         assert sorted(terminal) == sorted(e.ticket for e in entries)
+
+
+    def test_one_terminal_record_per_ticket(self, tmp_path):
+        """Queued cancels, a group cancel, dedupe followers and cache hits
+        each journal exactly one terminal record per ticket, and replay
+        folds the journal into the states the daemon reached."""
+        state = str(tmp_path / "state")
+        service = PlacementService(state, workers=1).start()
+        try:
+            blocker = service.submit(make_spec(seed=1, pipeline=SLEEPY))
+            queued = [service.submit(make_spec(seed=s)) for s in (2, 3)]
+            grouped = [service.submit({"job": make_spec(seed=s),
+                                       "group": "g"}) for s in (4, 5)]
+            leader = service.submit(make_spec(seed=6))
+            followers = [service.submit(make_spec(seed=6)) for _ in range(2)]
+            service.cancel(queued[0].ticket)
+            assert service.cancel_group("g") == {"cancelled": 2,
+                                                 "requested": 0}
+            service.cancel(blocker.ticket)
+            tickets = [e.ticket for e in
+                       [blocker, *queued, *grouped, leader, *followers]]
+            assert service.wait(tickets, timeout=90)
+            hits = [service.submit(make_spec(seed=6)) for _ in range(2)]
+            assert service.wait([e.ticket for e in hits], timeout=30)
+            tickets += [e.ticket for e in hits]
+            states = {t: service.get(t).state for t in tickets}
+        finally:
+            service.stop()
+        assert states[blocker.ticket] == states[queued[0].ticket] \
+            == "cancelled"
+        assert [states[e.ticket] for e in (queued[1], leader, *followers)] \
+            == ["done"] * 4
+        assert all(service.get(e.ticket).result.cached for e in hits)
+        with open(service._journal_path) as fh:
+            records = [json.loads(line) for line in fh if line.strip()]
+        terminal = [r["ticket"] for r in records if r["op"] == "terminal"]
+        assert sorted(terminal) == sorted(tickets)
+        assert {r["ticket"]: r["state"] for r in records
+                if r["op"] == "terminal"} == states
+        replay = read_journal(service._journal_path)
+        assert replay.pending() == []
+        assert replay.duplicate_terminals == replay.dropped == 0
+        assert set(replay.finished) == set(replay.submitted) == set(tickets)
+
+
+@pytest.fixture
+def slow_poll(monkeypatch):
+    """Steps that wait up to 2 s: only a wake can act sooner."""
+    import repro.service.lifecycle as lifecycle
+
+    monkeypatch.setattr(lifecycle, "POLL_SECONDS", 2.0)
+    return 2.0
+
+
+def wait_for_event(service, job_id, kind, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        for event in service.events.job_events(job_id):
+            if event.kind == kind:
+                return event
+        time.sleep(0.01)
+    raise AssertionError(f"no {kind!r} event for {job_id} in {timeout}s")
+
+
+class TestWake:
+    """A submission or cancellation ends the loop's wait at once;
+    policing still runs once per poll window."""
+
+    def test_submit_to_idle_daemon_starts_at_once(self, tmp_path, slow_poll):
+        service = PlacementService(str(tmp_path / "state"), workers=1).start()
+        try:
+            warm = service.submit(make_spec(seed=1))
+            assert service.wait([warm.ticket], timeout=60)
+            time.sleep(0.3)          # the loop now waits in a 2 s poll
+            began = time.time()
+            entry = service.submit(make_spec(seed=2))
+            started = wait_for_event(service, entry.job.job_id, "started")
+            assert started.ts - began < 0.5
+            assert service.wait([entry.ticket], timeout=60)
+        finally:
+            service.stop()
+
+    def test_cancel_of_running_job_acted_on_at_once(self, tmp_path,
+                                                     slow_poll):
+        service = PlacementService(str(tmp_path / "state"), workers=1).start()
+        try:
+            entry = service.submit(make_spec(seed=1, pipeline=SLEEPY))
+            wait_for_event(service, entry.job.job_id, "started")
+            time.sleep(0.3)          # the loop now waits in a 2 s poll
+            began = time.monotonic()
+            assert service.cancel(entry.ticket) == "requested"
+            assert service.wait([entry.ticket], timeout=10)
+            assert time.monotonic() - began < 0.5
+            assert service.get(entry.ticket).state == "cancelled"
+        finally:
+            service.stop()
+
+    def test_silent_job_still_preempted_at_its_hang_timeout(self, tmp_path,
+                                                            slow_poll):
+        from repro.supervision.supervisor import SupervisionConfig
+
+        hang_timeout = 1.0
+        service = PlacementService(
+            str(tmp_path / "state"), workers=1, retry_backoff=0.01,
+            supervision=SupervisionConfig(hang_timeout=hang_timeout),
+        ).start()
+        try:
+            entry = service.submit(dict(
+                design="fft_1", cells=120, seed=1, timeout=60.0,
+                params={"max_iterations": 60, "checkpoint_every": 10},
+                faults={"faults": [{"kind": "hang", "iteration": 35,
+                                    "seconds": 60.0}]},
+            ))
+            preempted = wait_for_event(service, entry.job.job_id,
+                                       "preempted", timeout=60)
+            # Policing runs at least once per window, wakes or not.
+            idle = preempted.payload["idle_s"]
+            assert hang_timeout <= idle < hang_timeout + slow_poll + 0.5
+            assert service.wait([entry.ticket], timeout=60)
+            assert service.get(entry.ticket).state == "done"
+        finally:
+            service.stop()
 
 
 class TestRecovery:

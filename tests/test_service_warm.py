@@ -1,5 +1,6 @@
 """Warm workers: shared-memory designs, resident dispatch, kills."""
 
+import os
 import threading
 import time
 
@@ -261,3 +262,50 @@ class TestWarmPool:
                     -1]["metrics"]["worker_pid"]
         finally:
             pool.shutdown()
+
+
+def open_fds():
+    return set(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.parametrize("start_method", [None, "thread"],
+                         ids=["process", "thread"])
+class TestWake:
+    def test_wake_ends_a_wakeable_poll_only(self, start_method):
+        pool = WarmPool(workers=1, start_method=start_method)
+        try:
+            timer = threading.Timer(0.1, pool.wake)
+            timer.start()
+            began = time.monotonic()
+            assert pool.poll(10.0, wakeable=True) == []
+            assert time.monotonic() - began < 5.0
+            timer.join()
+            # Wakes coalesce, and a plain poll waits them out.
+            pool.wake()
+            pool.wake()
+            began = time.monotonic()
+            assert pool.poll(0.2) == []
+            assert time.monotonic() - began >= 0.15
+            assert pool.poll(10.0, wakeable=True) == []
+            began = time.monotonic()
+            assert pool.poll(0.2, wakeable=True) == []
+            assert time.monotonic() - began >= 0.15
+        finally:
+            pool.shutdown()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc/self/fd")
+    def test_wake_after_shutdown_is_a_noop(self, start_method):
+        # A first pool starts what outlives every pool (the resource
+        # tracker of process pools).
+        WarmPool(workers=1, start_method=start_method).shutdown()
+        before = open_fds()
+        pool = WarmPool(workers=1, start_method=start_method)
+        pool.submit("t", make_job(seed=1))
+        message, _ = drain_until_result(pool, "t")
+        assert message["status"] == "done"
+        pool.wake()
+        pool.shutdown()
+        pool.wake()
+        pool.wake()
+        assert open_fds() == before
